@@ -46,6 +46,16 @@ class BigUInt {
   /// a mod m via binary long division; m must be nonzero.
   static BigUInt mod(const BigUInt& a, const BigUInt& m);
 
+  /// floor(2^512 / m), the constant mod_barrett needs; m must have 193 to
+  /// 256 bits.
+  static BigUInt barrett_mu(const BigUInt& m);
+
+  /// a mod m by Barrett reduction (HAC 14.42, base 2^64, k = 4): two
+  /// truncated limb products and at most two final subtractions. m must
+  /// have 193 to 256 bits and mu = barrett_mu(m).
+  static BigUInt mod_barrett(const BigUInt& a, const BigUInt& m,
+                             const BigUInt& mu);
+
   /// (a + b) mod m, assuming a,b < m.
   static BigUInt add_mod(const BigUInt& a, const BigUInt& b, const BigUInt& m);
 

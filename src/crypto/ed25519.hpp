@@ -29,11 +29,21 @@ const Fe& curve_d();
 /// The prime group order L = 2^252 + 27742317777372353535851937790883648493.
 const BigUInt& group_order();
 
+/// x mod L for any 512-bit x, by Barrett reduction (a fixed sequence of
+/// limb products, not BigUInt::mod's bit-serial division).
+BigUInt scalar_reduce(const BigUInt& x);
+
+/// Unified addition (add-2008-hwcd); also correct for p == q.
 Point point_add(const Point& p, const Point& q);
+
+/// Dedicated doubling (dbl-2008-hwcd): 4 squarings + 4 multiplications
+/// against the unified addition's 9 multiplications.
 Point point_double(const Point& p);
 Point point_neg(const Point& p);
 
-/// scalar * p via double-and-add; scalar is interpreted mod 2^256.
+/// scalar * p via a fixed 4-bit window: a 16-entry table of p's multiples,
+/// then 64 windows of 4 doublings and at most one addition; scalar is
+/// interpreted mod 2^256.
 Point point_mul(const BigUInt& scalar, const Point& p);
 
 /// scalar * B via a fixed-base window table (64 nibble positions x 16
@@ -43,13 +53,17 @@ Point point_mul(const BigUInt& scalar, const Point& p);
 Point point_mul_base(const BigUInt& scalar);
 
 bool point_equal(const Point& p, const Point& q);
+
+/// Projective curve check (Y^2 - X^2) Z^2 == Z^4 + d X^2 Y^2; no inversion.
 bool point_on_curve(const Point& p);
 bool point_is_identity(const Point& p);
 
 /// 32-byte compressed encoding: y with the sign of x in the top bit.
 util::Bytes point_encode(const Point& p);
 
-/// Decompress; returns false for invalid encodings / non-curve points.
+/// Decompress as RFC 8032 section 5.1.3: rejects a y encoding >= p, a y
+/// with no matching x, and x = 0 with the sign bit set. One
+/// exponentiation (u v^3 (u v^7)^((p-5)/8)), no inversion.
 bool point_decode(const util::Bytes& encoded, Point& out);
 
 }  // namespace psf::crypto

@@ -5,53 +5,54 @@
 namespace psf::crypto {
 
 namespace {
-constexpr std::uint64_t kMask51 = (1ULL << 51) - 1;
-using u128 = unsigned __int128;
+using detail::carry;
+using detail::kMask51;
 
-// Propagate carries so every limb is < 2^51 (value still mod p-equivalent).
-Fe carry(Fe a) {
-  for (int round = 0; round < 2; ++round) {
-    std::uint64_t c = a.v[4] >> 51;
-    a.v[4] &= kMask51;
-    a.v[0] += c * 19;
-    for (int i = 0; i < 4; ++i) {
-      c = a.v[i] >> 51;
-      a.v[i] &= kMask51;
-      a.v[i + 1] += c;
-    }
+// Reduce to the canonical representative in [0, p) with normalized limbs.
+// Helpers here take Fe by const reference and copy: gcc 12.2 at -O2
+// (ipa-modref) miscompiled an in-place update of a by-value Fe parameter
+// once fe_* were inlined.
+Fe reduce_full(const Fe& in) {
+  Fe a = carry(in);  // limbs < 2^51 + 76, so a + 19 < 2^256
+  // q = 1 iff a >= p, i.e. iff a + 19 carries out of bit 255.
+  std::uint64_t q = (a.v[0] + 19) >> 51;
+  for (int i = 1; i < 5; ++i) q = (a.v[i] + q) >> 51;
+  // a - q p = a + 19 q - q 2^255: add, carry serially, drop bit 255.
+  a.v[0] += 19 * q;
+  for (int i = 0; i < 4; ++i) {
+    a.v[i + 1] += a.v[i] >> 51;
+    a.v[i] &= kMask51;
   }
+  a.v[4] &= kMask51;
   return a;
 }
 
-// Reduce to the canonical representative in [0, p).
-Fe reduce_full(Fe a) {
-  a = carry(a);
-  // a < 2^255 + small; subtract p at most twice.
-  for (int round = 0; round < 2; ++round) {
-    // Compute a - p = a - (2^255 - 19) = a + 19 - 2^255.
-    std::uint64_t t0 = a.v[0] + 19;
-    std::uint64_t c = t0 >> 51;
-    t0 &= kMask51;
-    std::uint64_t t1 = a.v[1] + c;
-    c = t1 >> 51;
-    t1 &= kMask51;
-    std::uint64_t t2 = a.v[2] + c;
-    c = t2 >> 51;
-    t2 &= kMask51;
-    std::uint64_t t3 = a.v[3] + c;
-    c = t3 >> 51;
-    t3 &= kMask51;
-    std::uint64_t t4 = a.v[4] + c;
-    if (t4 >> 51) {  // a >= p: keep the subtracted value
-      a.v[0] = t0;
-      a.v[1] = t1;
-      a.v[2] = t2;
-      a.v[3] = t3;
-      a.v[4] = t4 & kMask51;
-    }
-  }
-  return a;
+// a^(2^n): n successive squarings.
+Fe fe_sq_n(const Fe& a, int n) {
+  Fe r = a;
+  for (int i = 0; i < n; ++i) r = fe_sq(r);
+  return r;
 }
+
+// The common prefix of the ref10 inversion and pow22523 chains: returns
+// a^(2^250 - 1) and sets a11 = a^11.
+Fe pow_2_250_1(const Fe& a, Fe& a11) {
+  const Fe a2 = fe_sq(a);
+  const Fe a9 = fe_mul(fe_sq_n(a2, 2), a);
+  a11 = fe_mul(a9, a2);
+  const Fe e5 = fe_mul(fe_sq(a11), a9);              // 2^5 - 1
+  const Fe e10 = fe_mul(fe_sq_n(e5, 5), e5);         // 2^10 - 1
+  const Fe e20 = fe_mul(fe_sq_n(e10, 10), e10);      // 2^20 - 1
+  const Fe e40 = fe_mul(fe_sq_n(e20, 20), e20);      // 2^40 - 1
+  const Fe e50 = fe_mul(fe_sq_n(e40, 10), e10);      // 2^50 - 1
+  const Fe e100 = fe_mul(fe_sq_n(e50, 50), e50);     // 2^100 - 1
+  const Fe e200 = fe_mul(fe_sq_n(e100, 100), e100);  // 2^200 - 1
+  return fe_mul(fe_sq_n(e200, 50), e50);             // 2^250 - 1
+}
+
+// Canonical limbs as a stack array, for comparisons.
+std::array<std::uint64_t, 5> canonical(const Fe& a) { return reduce_full(a).v; }
+
 }  // namespace
 
 Fe fe_zero() { return Fe{{0, 0, 0, 0, 0}}; }
@@ -80,6 +81,17 @@ Fe fe_from_bytes(const util::Bytes& bytes) {
   return out;
 }
 
+bool fe_bytes_canonical(const util::Bytes& bytes) {
+  if (bytes.size() < 32) return false;
+  // The 255-bit values >= p are 2^255 - 19 .. 2^255 - 1: bytes 1..30 all
+  // 0xff, byte 31 0x7f (top bit ignored), byte 0 >= 0xed.
+  if ((bytes[31] & 0x7f) != 0x7f) return true;
+  for (std::size_t i = 1; i < 31; ++i) {
+    if (bytes[i] != 0xff) return true;
+  }
+  return bytes[0] < 0xed;
+}
+
 util::Bytes fe_to_bytes(const Fe& a) {
   const Fe r = reduce_full(a);
   util::Bytes out(32, 0);
@@ -100,116 +112,42 @@ util::Bytes fe_to_bytes(const Fe& a) {
   return out;
 }
 
-Fe fe_add(const Fe& a, const Fe& b) {
-  Fe out;
-  for (int i = 0; i < 5; ++i) out.v[i] = a.v[i] + b.v[i];
-  return carry(out);
-}
-
-Fe fe_sub(const Fe& a, const Fe& b) {
-  // a + 2p - b keeps limbs nonnegative.
-  static const std::uint64_t two_p[5] = {
-      0xfffffffffffdaULL, 0xffffffffffffeULL, 0xffffffffffffeULL,
-      0xffffffffffffeULL, 0xffffffffffffeULL};
-  Fe out;
-  for (int i = 0; i < 5; ++i) out.v[i] = a.v[i] + two_p[i] - b.v[i];
-  return carry(out);
-}
-
-Fe fe_neg(const Fe& a) { return fe_sub(fe_zero(), a); }
-
-Fe fe_mul(const Fe& a, const Fe& b) {
-  const std::uint64_t a0 = a.v[0], a1 = a.v[1], a2 = a.v[2], a3 = a.v[3],
-                      a4 = a.v[4];
-  const std::uint64_t b0 = b.v[0], b1 = b.v[1], b2 = b.v[2], b3 = b.v[3],
-                      b4 = b.v[4];
-  const std::uint64_t b1_19 = b1 * 19, b2_19 = b2 * 19, b3_19 = b3 * 19,
-                      b4_19 = b4 * 19;
-
-  u128 t0 = (u128)a0 * b0 + (u128)a1 * b4_19 + (u128)a2 * b3_19 +
-            (u128)a3 * b2_19 + (u128)a4 * b1_19;
-  u128 t1 = (u128)a0 * b1 + (u128)a1 * b0 + (u128)a2 * b4_19 +
-            (u128)a3 * b3_19 + (u128)a4 * b2_19;
-  u128 t2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-            (u128)a3 * b4_19 + (u128)a4 * b3_19;
-  u128 t3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 + (u128)a3 * b0 +
-            (u128)a4 * b4_19;
-  u128 t4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 + (u128)a3 * b1 +
-            (u128)a4 * b0;
-
-  Fe out;
-  std::uint64_t c;
-  out.v[0] = static_cast<std::uint64_t>(t0) & kMask51;
-  c = static_cast<std::uint64_t>(t0 >> 51);
-  t1 += c;
-  out.v[1] = static_cast<std::uint64_t>(t1) & kMask51;
-  c = static_cast<std::uint64_t>(t1 >> 51);
-  t2 += c;
-  out.v[2] = static_cast<std::uint64_t>(t2) & kMask51;
-  c = static_cast<std::uint64_t>(t2 >> 51);
-  t3 += c;
-  out.v[3] = static_cast<std::uint64_t>(t3) & kMask51;
-  c = static_cast<std::uint64_t>(t3 >> 51);
-  t4 += c;
-  out.v[4] = static_cast<std::uint64_t>(t4) & kMask51;
-  c = static_cast<std::uint64_t>(t4 >> 51);
-  out.v[0] += c * 19;
-  return carry(out);
-}
-
-Fe fe_sq(const Fe& a) { return fe_mul(a, a); }
-
-Fe fe_pow(const Fe& a, const util::Bytes& exponent_le) {
-  Fe result = fe_one();
-  Fe base = a;
-  for (std::size_t i = 0; i < exponent_le.size() * 8; ++i) {
-    if ((exponent_le[i / 8] >> (i % 8)) & 1) {
-      result = fe_mul(result, base);
-    }
-    base = fe_sq(base);
-  }
-  return result;
-}
-
 Fe fe_invert(const Fe& a) {
-  // Exponent p - 2 = 2^255 - 21, little-endian bytes: eb ff .. ff 7f.
-  util::Bytes exp(32, 0xff);
-  exp[0] = 0xeb;
-  exp[31] = 0x7f;
-  return fe_pow(a, exp);
+  // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11.
+  Fe a11;
+  const Fe e250 = pow_2_250_1(a, a11);
+  return fe_mul(fe_sq_n(e250, 5), a11);
+}
+
+Fe fe_pow22523(const Fe& a) {
+  // 2^252 - 3 = (2^250 - 1) * 2^2 + 1.
+  Fe a11;
+  const Fe e250 = pow_2_250_1(a, a11);
+  return fe_mul(fe_sq_n(e250, 2), a);
 }
 
 bool fe_is_zero(const Fe& a) {
-  const util::Bytes b = fe_to_bytes(a);
-  for (std::uint8_t x : b) {
-    if (x != 0) return false;
-  }
-  return true;
+  const auto r = canonical(a);
+  return (r[0] | r[1] | r[2] | r[3] | r[4]) == 0;
 }
 
-bool fe_equal(const Fe& a, const Fe& b) {
-  return fe_to_bytes(a) == fe_to_bytes(b);
-}
+bool fe_equal(const Fe& a, const Fe& b) { return canonical(a) == canonical(b); }
 
-bool fe_is_negative(const Fe& a) { return fe_to_bytes(a)[0] & 1; }
+bool fe_is_negative(const Fe& a) { return canonical(a)[0] & 1; }
 
 const Fe& fe_sqrt_m1() {
-  // 2^((p-1)/4): (p-1)/4 = (2^255 - 20)/4 = 2^253 - 5.
+  // 2^((p-1)/4) with (p-1)/4 = 2^253 - 5 = (2^252 - 3) * 2 + 1; 2 is a
+  // non-residue, so its square is 2^((p-1)/2) = -1.
   static const Fe value = [] {
-    util::Bytes exp(32, 0xff);
-    exp[0] = 0xfb;
-    exp[31] = 0x1f;
-    return fe_pow(fe_from_u64(2), exp);
+    const Fe two = fe_from_u64(2);
+    return fe_mul(fe_sq(fe_pow22523(two)), two);
   }();
   return value;
 }
 
 bool fe_sqrt(const Fe& a, Fe& out) {
-  // Candidate root: a^((p+3)/8), (p+3)/8 = 2^252 - 2.
-  util::Bytes exp(32, 0xff);
-  exp[0] = 0xfe;
-  exp[31] = 0x0f;
-  Fe x = fe_pow(a, exp);
+  // Candidate root: a^((p+3)/8) = a * a^((p-5)/8).
+  const Fe x = fe_mul(a, fe_pow22523(a));
   const Fe x2 = fe_sq(x);
   if (fe_equal(x2, a)) {
     out = x;

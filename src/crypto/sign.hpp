@@ -44,8 +44,9 @@ KeyPair generate_keypair(util::Rng& rng);
 /// on the signing path, no nonce-reuse hazard).
 Signature sign(const KeyPair& key, const util::Bytes& message);
 
-/// Verify `sig` over `message` against `key`. Costs ~0.45 ms (two scalar
-/// multiplications, one with fixed-base window tables); hot paths that
+/// Verify `sig` over `message` against `key`. Costs ~0.1 ms (two point
+/// decodes and two scalar multiplications, one with fixed-base window
+/// tables; bench_table1_delegations reports it as verify_us); hot paths that
 /// re-check the same credential should go through drbac::verify_cached,
 /// which memoizes this result by content hash.
 bool verify(const PublicKey& key, const util::Bytes& message,

@@ -54,7 +54,7 @@ struct Delegation {
   util::Bytes payload() const;
 
   /// Verify the embedded signature against the embedded issuer key.
-  /// Unconditionally runs the Schnorr check (~0.45 ms); hot paths go
+  /// Unconditionally runs the Schnorr check (~0.1 ms); hot paths go
   /// through drbac::verify_cached (proof_cache.hpp), which memoizes this
   /// result by content_hash().
   bool verify_signature() const;

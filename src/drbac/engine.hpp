@@ -51,7 +51,7 @@ struct ProveOptions {
   /// graph search (the ablation baseline in bench_proof_engine).
   bool use_proof_cache = true;
   /// Route signature checks through the process-wide SignatureCache, so
-  /// each credential pays its ~0.45 ms Schnorr verify once per lifetime.
+  /// each credential pays its ~0.1 ms Schnorr verify once per lifetime.
   bool use_signature_cache = true;
   /// On a proof-cache miss, pre-verify the candidate credentials reachable
   /// from the target in parallel on a shared util::ThreadPool before the

@@ -48,27 +48,45 @@ const SignatureCache::Shard& SignatureCache::shard_for(
   return shards_[index];
 }
 
+void SignatureCache::insert(Shard& shard, const std::string& key,
+                            bool valid) {
+  shard.old.erase(key);
+  if (shard.young.size() >= kMaxEntriesPerGeneration &&
+      shard.young.count(key) == 0) {
+    CacheMetrics::get().sig_evictions.inc(shard.old.size());
+    shard.old = std::move(shard.young);
+    shard.young.clear();
+  }
+  shard.young[key] = valid;
+}
+
 bool SignatureCache::verify(const Delegation& credential) {
   CacheMetrics& metrics = CacheMetrics::get();
   const std::string key = credential.content_hash();
   Shard& shard = shard_for(key);
   {
     std::shared_lock lock(shard.mutex);
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
+    auto it = shard.young.find(key);
+    if (it != shard.young.end()) {
       metrics.sig_hits.inc();
       return it->second;
+    }
+  }
+  {
+    std::unique_lock lock(shard.mutex);
+    auto it = shard.old.find(key);
+    if (it != shard.old.end()) {
+      const bool valid = it->second;
+      insert(shard, key, valid);
+      metrics.sig_hits.inc();
+      return valid;
     }
   }
   const bool valid = credential.verify_signature();
   metrics.sig_misses.inc();
   {
     std::unique_lock lock(shard.mutex);
-    if (shard.entries.size() >= kMaxEntriesPerShard) {
-      metrics.sig_evictions.inc(shard.entries.size());
-      shard.entries.clear();
-    }
-    shard.entries[key] = valid;
+    insert(shard, key, valid);
   }
   return valid;
 }
@@ -77,25 +95,21 @@ bool SignatureCache::contains(const Delegation& credential) const {
   const std::string key = credential.content_hash();
   const Shard& shard = shard_for(key);
   std::shared_lock lock(shard.mutex);
-  return shard.entries.count(key) > 0;
+  return shard.young.count(key) > 0 || shard.old.count(key) > 0;
 }
 
 void SignatureCache::store(const Delegation& credential, bool valid) {
   const std::string key = credential.content_hash();
   Shard& shard = shard_for(key);
   std::unique_lock lock(shard.mutex);
-  if (shard.entries.size() >= kMaxEntriesPerShard) {
-    CacheMetrics::get().sig_evictions.inc(shard.entries.size());
-    shard.entries.clear();
-  }
-  shard.entries[key] = valid;
+  insert(shard, key, valid);
 }
 
 void SignatureCache::invalidate(const Delegation& credential) {
   const std::string key = credential.content_hash();
   Shard& shard = shard_for(key);
   std::unique_lock lock(shard.mutex);
-  if (shard.entries.erase(key) > 0) {
+  if (shard.young.erase(key) + shard.old.erase(key) > 0) {
     CacheMetrics::get().sig_invalidations.inc();
   }
 }
@@ -103,7 +117,8 @@ void SignatureCache::invalidate(const Delegation& credential) {
 void SignatureCache::clear() {
   for (Shard& shard : shards_) {
     std::unique_lock lock(shard.mutex);
-    shard.entries.clear();
+    shard.young.clear();
+    shard.old.clear();
   }
 }
 
@@ -111,7 +126,7 @@ std::size_t SignatureCache::size() const {
   std::size_t total = 0;
   for (const Shard& shard : shards_) {
     std::shared_lock lock(shard.mutex);
-    total += shard.entries.size();
+    total += shard.young.size() + shard.old.size();
   }
   return total;
 }

@@ -443,5 +443,458 @@ TEST(Dh, DerivedKeysDifferByLabel) {
   EXPECT_NE(derive_channel_key(secret, "c2s"), derive_channel_key(secret, "s2c"));
 }
 
+// --------------------------------------------------------- Pinned verdicts
+// Known answers and accept/reject decisions recorded from the arithmetic as
+// it stood before the field, point and scalar layers were rewritten; a
+// rewrite that changes any of them fails here instead of silently.
+
+// Small-order and malformed point encodings (32 bytes, little-endian y,
+// top bit the sign of x).
+constexpr const char* kIdentityEnc =  // (0, 1), order 1
+    "0100000000000000000000000000000000000000000000000000000000000000";
+constexpr const char* kOrder2Enc =  // (0, -1)
+    "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f";
+constexpr const char* kOrder4Enc =  // (sqrt(-1), 0)
+    "0000000000000000000000000000000000000000000000000000000000000000";
+constexpr const char* kOrder8Enc =
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05";
+constexpr const char* kNegativeZeroXEnc =  // y = 1 with the sign bit set
+    "0100000000000000000000000000000000000000000000000000000000000080";
+// y = 2, for which (y^2 - 1) / (d y^2 + 1) is a non-residue.
+constexpr const char* kNonResidueYEnc =
+    "0200000000000000000000000000000000000000000000000000000000000000";
+
+// The challenge e = H(R || A || m) mod L, as sign.cpp derives it.
+BigUInt challenge_of(const Bytes& r_enc, const Bytes& a_enc, const Bytes& msg) {
+  Bytes data = r_enc;
+  util::append(data, a_enc);
+  util::append(data, msg);
+  Bytes wide = sha256_bytes(data);
+  data.push_back(0x01);
+  util::append(wide, sha256_bytes(data));
+  return scalar_from_wide_bytes(wide);
+}
+
+Signature make_sig(const Bytes& r_enc, const BigUInt& s) {
+  Signature sig;
+  sig.bytes = r_enc;
+  util::append(sig.bytes, s.to_le_bytes32());
+  return sig;
+}
+
+struct PinnedVector {
+  std::string name;
+  PublicKey key;
+  Bytes message;
+  Signature sig;
+  bool verdict;
+};
+
+std::vector<PinnedVector> pinned_vectors() {
+  util::Rng rng(300);
+  const KeyPair kp = generate_keypair(rng);
+  const Bytes msg = to_bytes("pinned verify vectors");
+  const Signature good = sign(kp, msg);
+  const Bytes r_good(good.bytes.begin(), good.bytes.begin() + 32);
+  const BigUInt s_good =
+      BigUInt::from_le_bytes(Bytes(good.bytes.begin() + 32, good.bytes.end()));
+  const BigUInt& l = group_order();
+  // A forger's pair for any key: R = r B, s = r. The cofactorless check
+  // s B == R + e A accepts it exactly when e A is the identity.
+  const BigUInt r = scalar_from_wide_bytes(rng.next_bytes(64));
+  const Bytes r_b = point_encode(point_mul_base(r));
+  const auto forged = [&](const char* key_hex) {
+    return PinnedVector{"", PublicKey{from_hex(key_hex)}, msg,
+                        make_sig(r_b, r), false};
+  };
+  // The signer's own s = e x for a chosen R encoding: accepted exactly when
+  // R is the identity.
+  const auto with_r = [&](const char* r_hex) {
+    const Bytes r_enc = from_hex(r_hex);
+    const BigUInt e = challenge_of(r_enc, kp.public_key.encoded, msg);
+    const BigUInt s = BigUInt::mul_mod(e, kp.private_scalar, l);
+    return PinnedVector{"", kp.public_key, msg, make_sig(r_enc, s), false};
+  };
+  const auto named = [](PinnedVector v, const char* name, bool verdict) {
+    v.name = name;
+    v.verdict = verdict;
+    return v;
+  };
+
+  std::vector<PinnedVector> out;
+  out.push_back({"valid", kp.public_key, msg, good, true});
+  out.push_back({"s = L", kp.public_key, msg, make_sig(r_good, l), false});
+  out.push_back({"s = L + 1", kp.public_key, msg,
+                 make_sig(r_good, BigUInt::add(l, BigUInt(1))), false});
+  out.push_back({"s + L", kp.public_key, msg,
+                 make_sig(r_good, BigUInt::add(s_good, l)), false});
+  // Small-order public keys are not rejected: the verdict is whether e
+  // (which hashes A too) is a multiple of the key's order. Here e is odd
+  // for the order-2 key, 2 mod 4 for the order-4 key, 0 mod 8 for the
+  // order-8 key.
+  out.push_back(named(forged(kIdentityEnc), "A identity", true));
+  out.push_back(named(forged(kOrder2Enc), "A order 2", false));
+  out.push_back(named(forged(kOrder4Enc), "A order 4", false));
+  out.push_back(named(forged(kOrder8Enc), "A order 8", true));
+  out.push_back(named(with_r(kIdentityEnc), "R identity", true));
+  out.push_back(named(with_r(kOrder2Enc), "R order 2", false));
+  out.push_back(named(with_r(kOrder4Enc), "R order 4", false));
+  out.push_back(named(with_r(kOrder8Enc), "R order 8", false));
+  out.push_back(named(forged(kNegativeZeroXEnc), "A x = 0, sign bit", false));
+  out.push_back(named(with_r(kNegativeZeroXEnc), "R x = 0, sign bit", false));
+  out.push_back(named(forged(kNonResidueYEnc), "A non-residue y", false));
+  out.push_back(named(with_r(kNonResidueYEnc), "R non-residue y", false));
+  return out;
+}
+
+std::vector<VerifyJob> jobs_of(const std::vector<PinnedVector>& vectors) {
+  std::vector<VerifyJob> jobs;
+  for (const auto& v : vectors) jobs.push_back({&v.key, &v.message, &v.sig});
+  return jobs;
+}
+
+TEST(Pinned, KnownAnswers) {
+  util::Rng rng(42);
+  const KeyPair kp = generate_keypair(rng);
+  EXPECT_EQ(to_hex(kp.public_key.encoded),
+            "354194b05bfeb14f73a38e3db0af63611deaddae33da8e34c7abb871d3c4698b");
+  EXPECT_EQ(to_hex(sign(kp, to_bytes("known answer")).bytes),
+            "df6e3d5cffc4b8456a263eeb9da0cb3c24e6019e09e4ddcd74ef9061e5c233aa"
+            "4014f699f75751a9a912d2572dd79988fedf40620bee431e0b77daee2bd5a200");
+  const DhKeyPair a = dh_generate(rng);
+  const DhKeyPair b = dh_generate(rng);
+  Bytes secret;
+  ASSERT_TRUE(dh_shared_secret(a, b.public_point, secret));
+  EXPECT_EQ(to_hex(secret),
+            "c9b8e1a0b5f77ed0de9954bae2f7d3b26df5ad9813fee1e2d8aa9f6f587dd1bb");
+}
+
+TEST(Pinned, SmallOrderEncodingsHaveTheirOrder) {
+  const std::pair<const char*, std::uint64_t> points[] = {
+      {kIdentityEnc, 1}, {kOrder2Enc, 2}, {kOrder4Enc, 4}, {kOrder8Enc, 8}};
+  for (const auto& [hex, order] : points) {
+    Point p;
+    ASSERT_TRUE(point_decode(from_hex(hex), p)) << hex;
+    EXPECT_TRUE(point_is_identity(point_mul(BigUInt(order), p))) << hex;
+    if (order > 1) {
+      EXPECT_FALSE(point_is_identity(point_mul(BigUInt(order / 2), p))) << hex;
+    }
+  }
+  Point p;
+  EXPECT_FALSE(point_decode(from_hex(kNegativeZeroXEnc), p));
+  EXPECT_FALSE(point_decode(from_hex(kNonResidueYEnc), p));
+}
+
+TEST(Pinned, VerifyVerdictsSerialAndPooled) {
+  const std::vector<PinnedVector> vectors = pinned_vectors();
+  std::vector<std::uint8_t> expected;
+  for (const auto& v : vectors) {
+    EXPECT_EQ(verify(v.key, v.message, v.sig), v.verdict) << v.name;
+    expected.push_back(v.verdict ? 1 : 0);
+  }
+  const std::vector<VerifyJob> jobs = jobs_of(vectors);
+  EXPECT_EQ(verify_batch(jobs), expected);
+  util::ThreadPool pool(3);
+  EXPECT_EQ(verify_batch(jobs, &pool), expected);
+}
+
+TEST(Pinned, BatchWithOneBadSignature) {
+  util::Rng rng(301);
+  constexpr std::size_t kJobs = 7, kBad = 4;
+  std::vector<PinnedVector> vectors;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    const KeyPair kp = generate_keypair(rng);
+    const Bytes msg = to_bytes("batch message " + std::to_string(i));
+    vectors.push_back({"", kp.public_key, msg, sign(kp, msg), i != kBad});
+  }
+  vectors[kBad].message[0] ^= 1;
+  const std::vector<VerifyJob> jobs = jobs_of(vectors);
+  util::ThreadPool pool(3);
+  for (const auto& results : {verify_batch(jobs), verify_batch(jobs, &pool)}) {
+    ASSERT_EQ(results.size(), kJobs);
+    for (std::size_t i = 0; i < kJobs; ++i) {
+      EXPECT_EQ(results[i], i == kBad ? 0 : 1) << "job " << i;
+    }
+  }
+}
+
+
+// ------------------------------------------------------ Strict decoding
+
+// The 19 encodings of y in [p, 2^255): y - p in [0, 19).
+Bytes non_canonical_y(std::uint8_t y_minus_p, bool sign_bit) {
+  Bytes enc(32, 0xff);
+  enc[0] = static_cast<std::uint8_t>(0xed + y_minus_p);
+  enc[31] = sign_bit ? 0xff : 0x7f;
+  return enc;
+}
+
+TEST(Ed25519, DecodeRejectsNonCanonicalY) {
+  for (std::uint8_t k = 0; k < 19; ++k) {
+    for (const bool sign_bit : {false, true}) {
+      const Bytes enc = non_canonical_y(k, sign_bit);
+      EXPECT_FALSE(fe_bytes_canonical(enc)) << to_hex(enc);
+      Point p;
+      EXPECT_FALSE(point_decode(enc, p)) << to_hex(enc);
+    }
+  }
+  // The canonical encodings of the same y values: y = 0 and y = 1 are
+  // points, and p - 1 is the largest canonical y.
+  Point p;
+  EXPECT_TRUE(point_decode(from_hex(kOrder4Enc), p));
+  EXPECT_TRUE(point_decode(from_hex(kIdentityEnc), p));
+  EXPECT_TRUE(fe_bytes_canonical(from_hex(kOrder2Enc)));
+  EXPECT_TRUE(point_decode(from_hex(kOrder2Enc), p));
+}
+
+TEST(Sign, RejectsNonCanonicalEncodings) {
+  util::Rng rng(302);
+  const KeyPair kp = generate_keypair(rng);
+  const Bytes msg = to_bytes("non-canonical encodings");
+  const Bytes identity_plus_p = non_canonical_y(1, false);  // y = p + 1
+  // The forger's pair (R = r B, s = r) under the identity key: accepted
+  // with the canonical encoding (pinned above), rejected with y = p + 1.
+  const BigUInt r = scalar_from_wide_bytes(rng.next_bytes(64));
+  const Signature forged = make_sig(point_encode(point_mul_base(r)), r);
+  EXPECT_TRUE(verify(PublicKey{from_hex(kIdentityEnc)}, msg, forged));
+  EXPECT_FALSE(verify(PublicKey{identity_plus_p}, msg, forged));
+  // The signer's s = e x with R the identity, encoded canonically and not.
+  for (const Bytes& r_enc : {from_hex(kIdentityEnc), identity_plus_p}) {
+    const BigUInt e = challenge_of(r_enc, kp.public_key.encoded, msg);
+    const BigUInt s = scalar_reduce(BigUInt::mul256(e, kp.private_scalar));
+    const Signature sig = make_sig(r_enc, s);
+    EXPECT_EQ(verify(kp.public_key, msg, sig), r_enc != identity_plus_p);
+  }
+}
+
+// ------------------------------------------------- Differential oracles
+// The arithmetic as it stood before the layer-by-layer rewrite, kept as
+// test-only reference code: square-and-multiply over a byte exponent for
+// inversion and square roots, unified addition for doubling, plain
+// double-and-add scalar multiplication, and bit-serial reduction mod L.
+
+Bytes exponent_le(std::uint8_t low, std::uint8_t high) {
+  Bytes e(32, 0xff);
+  e[0] = low;
+  e[31] = high;
+  return e;
+}
+
+Fe ref_pow(const Fe& a, const Bytes& exponent) {
+  Fe result = fe_one();
+  Fe base = a;
+  for (std::size_t i = 0; i < exponent.size() * 8; ++i) {
+    if ((exponent[i / 8] >> (i % 8)) & 1) result = fe_mul(result, base);
+    base = fe_mul(base, base);
+  }
+  return result;
+}
+
+Fe ref_invert(const Fe& a) {
+  return ref_pow(a, exponent_le(0xeb, 0x7f));  // p - 2
+}
+
+Fe ref_pow22523(const Fe& a) {
+  return ref_pow(a, exponent_le(0xfd, 0x0f));  // (p - 5) / 8
+}
+
+Fe ref_sqrt_m1() { return ref_pow(fe_from_u64(2), exponent_le(0xfb, 0x1f)); }
+
+bool ref_sqrt(const Fe& a, Fe& out) {
+  const Fe x = ref_pow(a, exponent_le(0xfe, 0x0f));  // (p + 3) / 8
+  const Fe x2 = fe_mul(x, x);
+  if (fe_equal(x2, a)) {
+    out = x;
+    return true;
+  }
+  if (fe_equal(x2, fe_neg(a))) {
+    out = fe_mul(x, ref_sqrt_m1());
+    return true;
+  }
+  return false;
+}
+
+Point ref_mul(const BigUInt& scalar, const Point& p) {
+  Point result = point_identity();
+  for (std::size_t i = 256; i-- > 0;) {
+    result = point_add(result, result);
+    if (scalar.bit(i)) result = point_add(result, p);
+  }
+  return result;
+}
+
+BigUInt ref_mod_l(const BigUInt& x) { return BigUInt::mod(x, group_order()); }
+
+// p = 2^255 - 19; kOrder2Enc is the encoding of y = p - 1.
+BigUInt field_prime() {
+  return BigUInt::add(BigUInt::from_le_bytes(from_hex(kOrder2Enc)), BigUInt(1));
+}
+
+// The integer an Fe's limbs denote (not reduced).
+BigUInt value_of(const Fe& a) {
+  BigUInt acc;
+  for (int i = 4; i >= 0; --i) {
+    for (int bit = 0; bit < 51; ++bit) acc.shl1();
+    acc = BigUInt::add(acc, BigUInt(a.v[i]));
+  }
+  return acc;
+}
+
+// Random and edge field elements: 255-bit values (some >= p, so some
+// non-canonical), 0, 1, p - 1, p itself, and limbs at the documented
+// bound 2^51 + 2^7 - 1.
+std::vector<Fe> field_samples(std::uint64_t seed, int random_count) {
+  util::Rng rng(seed);
+  std::vector<Fe> out = {fe_zero(), fe_one(),
+                         fe_from_bytes(from_hex(kOrder2Enc)),
+                         fe_from_bytes(non_canonical_y(0, false)),
+                         fe_from_bytes(non_canonical_y(18, false))};
+  const std::uint64_t top = (1ULL << 51) + 127;
+  out.push_back(Fe{{top, top, top, top, top}});
+  for (int i = 0; i < random_count; ++i) {
+    out.push_back(fe_from_bytes(rng.next_bytes(32)));
+  }
+  return out;
+}
+
+TEST(CryptoDiff, FieldMulAndSqMatchExactProduct) {
+  const BigUInt p = field_prime();
+  const std::vector<Fe> samples = field_samples(400, 24);
+  const auto within_bound = [](const Fe& f) {
+    for (std::uint64_t limb : f.v) {
+      if (limb >= (1ULL << 51) + 128) return false;
+    }
+    return true;
+  };
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const Fe& a = samples[i];
+    const Fe& b = samples[(i * 7 + 3) % samples.size()];
+    const Fe ab = fe_mul(a, b);
+    const Fe aa = fe_sq(a);
+    const BigUInt exact =
+        BigUInt::mod(BigUInt::mul256(value_of(a), value_of(b)), p);
+    EXPECT_EQ(fe_to_bytes(ab), exact.to_le_bytes32()) << "sample " << i;
+    EXPECT_EQ(fe_to_bytes(aa), fe_to_bytes(fe_mul(a, a))) << "sample " << i;
+    EXPECT_TRUE(within_bound(ab) && within_bound(aa)) << "sample " << i;
+    EXPECT_TRUE(within_bound(fe_add(a, b)) && within_bound(fe_sub(a, b)))
+        << "sample " << i;
+  }
+}
+
+TEST(CryptoDiff, InvertAndPowChainsMatchSquareAndMultiply) {
+  for (const Fe& a : field_samples(401, 12)) {
+    EXPECT_EQ(fe_to_bytes(fe_invert(a)), fe_to_bytes(ref_invert(a)));
+    EXPECT_EQ(fe_to_bytes(fe_pow22523(a)), fe_to_bytes(ref_pow22523(a)));
+  }
+}
+
+TEST(CryptoDiff, SqrtMatchesPowReference) {
+  EXPECT_TRUE(fe_equal(fe_sqrt_m1(), ref_sqrt_m1()));
+  for (const Fe& a : field_samples(402, 12)) {
+    for (const Fe& x : {a, fe_sq(a)}) {  // arbitrary values and squares
+      Fe root, ref_root;
+      const bool ok = fe_sqrt(x, root);
+      ASSERT_EQ(ok, ref_sqrt(x, ref_root)) << to_hex(fe_to_bytes(x));
+      if (ok) {
+        EXPECT_TRUE(fe_equal(root, ref_root)) << to_hex(fe_to_bytes(x));
+      }
+    }
+  }
+}
+
+std::vector<Point> point_samples(std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<Point> out = {point_identity(), point_base()};
+  for (const char* hex : {kOrder2Enc, kOrder4Enc, kOrder8Enc}) {
+    Point p;
+    EXPECT_TRUE(point_decode(from_hex(hex), p));
+    out.push_back(p);
+  }
+  for (int i = 0; i < 4; ++i) {
+    // Sums leave Z != 1, as inside a scalar multiplication.
+    const Point p = point_mul_base(scalar_from_wide_bytes(rng.next_bytes(64)));
+    out.push_back(point_add(p, out[2 + i % 3]));
+  }
+  return out;
+}
+
+TEST(CryptoDiff, DoublingMatchesUnifiedAdd) {
+  for (const Point& p : point_samples(403)) {
+    const Point d = point_double(p);
+    EXPECT_TRUE(point_equal(d, point_add(p, p)));
+    EXPECT_TRUE(point_on_curve(d));
+    // The extended coordinate the next addition reads: T Z == X Y.
+    EXPECT_TRUE(fe_equal(fe_mul(d.t, d.z), fe_mul(d.x, d.y)));
+  }
+}
+
+TEST(CryptoDiff, ScalarMulMatchesDoubleAndAdd) {
+  util::Rng rng(404);
+  const BigUInt& l = group_order();
+  std::vector<BigUInt> scalars = {
+      BigUInt(0), BigUInt(1), BigUInt::sub(l, BigUInt(1)), l,
+      BigUInt::from_le_bytes(Bytes(64, 0xff))};
+  for (int i = 0; i < 4; ++i) {
+    scalars.push_back(BigUInt::from_le_bytes(rng.next_bytes(32)));
+  }
+  const std::vector<Point> points = point_samples(405);
+  for (const BigUInt& k : scalars) {
+    EXPECT_TRUE(point_equal(point_mul_base(k), ref_mul(k, point_base())))
+        << k.to_hex();
+    for (std::size_t i = 2; i < points.size(); i += 3) {
+      EXPECT_TRUE(point_equal(point_mul(k, points[i]), ref_mul(k, points[i])))
+          << k.to_hex() << " point " << i;
+    }
+  }
+}
+
+TEST(CryptoDiff, ScalarReductionMatchesBitSerialMod) {
+  util::Rng rng(406);
+  const BigUInt& l = group_order();
+  const BigUInt l_minus_1 = BigUInt::sub(l, BigUInt(1));
+  std::vector<BigUInt> inputs = {BigUInt(0),
+                                 BigUInt(1),
+                                 l_minus_1,
+                                 l,
+                                 BigUInt::add(l, BigUInt(1)),
+                                 BigUInt::add(l, l),
+                                 BigUInt::mul256(l, l),
+                                 BigUInt::mul256(l_minus_1, l_minus_1),
+                                 BigUInt::from_le_bytes(Bytes(32, 0xff)),
+                                 BigUInt::from_le_bytes(Bytes(40, 0xff)),
+                                 BigUInt::from_le_bytes(Bytes(64, 0xff))};
+  for (int i = 0; i < 200; ++i) {
+    inputs.push_back(BigUInt::from_le_bytes(rng.next_bytes(64)));
+  }
+  for (const BigUInt& x : inputs) {
+    EXPECT_EQ(scalar_reduce(x), ref_mod_l(x)) << x.to_hex();
+  }
+  for (int i = 0; i < 20; ++i) {
+    const Bytes wide = rng.next_bytes(64);
+    EXPECT_EQ(scalar_from_wide_bytes(wide),
+              ref_mod_l(BigUInt::from_le_bytes(wide)));
+  }
+}
+
+TEST(CryptoDiff, BarrettMatchesModForOtherModuli) {
+  util::Rng rng(407);
+  const BigUInt two_192_plus_1 =
+      BigUInt::add(BigUInt::from_le_bytes(Bytes(24, 0xff)), BigUInt(2));
+  const BigUInt moduli[] = {field_prime(),
+                            BigUInt::from_le_bytes(Bytes(32, 0xff)),
+                            two_192_plus_1};
+  for (const BigUInt& m : moduli) {
+    const BigUInt mu = BigUInt::barrett_mu(m);
+    for (int i = 0; i < 50; ++i) {
+      const BigUInt x = BigUInt::from_le_bytes(rng.next_bytes(64));
+      EXPECT_EQ(BigUInt::mod_barrett(x, m, mu), BigUInt::mod(x, m))
+          << m.to_hex();
+    }
+    const BigUInt all_ones = BigUInt::from_le_bytes(Bytes(64, 0xff));
+    EXPECT_EQ(BigUInt::mod_barrett(all_ones, m, mu), BigUInt::mod(all_ones, m));
+  }
+  EXPECT_THROW(BigUInt::barrett_mu(BigUInt(97)), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace psf::crypto

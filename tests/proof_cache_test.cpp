@@ -129,6 +129,35 @@ TEST(SignatureCache, InvalidateDropsOnlyThatEntry) {
   EXPECT_EQ(SignatureCache::instance().size(), 1u);
 }
 
+TEST(SignatureCache, OneShotEntriesAgeOutWhileAReusedOneStays) {
+  ChainWorld world(1);
+  reset_caches(world.repo);
+  SignatureCache& cache = SignatureCache::instance();
+  const Delegation& reused = *world.links[0];
+  ASSERT_TRUE(cache.verify(reused));
+  // Copies with fresh serials stand in for one-shot credentials: each has
+  // its own content hash, and store() records a verdict without verifying.
+  Delegation one_shot = reused;
+  const std::uint64_t misses0 = counter("psf.drbac.sigcache.misses");
+  const std::uint64_t evictions0 = counter("psf.drbac.sigcache.evictions");
+  for (std::uint64_t serial = 1000; serial < 11000; ++serial) {
+    one_shot.serial = serial;
+    cache.store(one_shot, true);
+    if (serial % 64 == 0) {
+      ASSERT_TRUE(cache.contains(reused)) << "after serial " << serial;
+      ASSERT_TRUE(cache.verify(reused));
+    }
+  }
+  EXPECT_EQ(counter("psf.drbac.sigcache.misses"), misses0);
+  EXPECT_GT(counter("psf.drbac.sigcache.evictions"), evictions0);
+  EXPECT_LE(cache.size(), 4096u);
+  one_shot.serial = 1000;
+  EXPECT_FALSE(cache.contains(one_shot));
+
+  cache.invalidate(reused);
+  EXPECT_FALSE(cache.contains(reused));
+}
+
 // ----------------------------------------------------------- ProofCache
 
 TEST(ProofCache, WarmHitReturnsIdenticalProof) {
