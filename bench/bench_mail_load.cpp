@@ -288,7 +288,7 @@ void reproduce_event_core(
   reactor.start();
 
   // Heartbeats for the per-worker trunks ride the timer wheel — zero
-  // dedicated threads, unlike HeartbeatDriver's thread-per-connection.
+  // dedicated threads for any number of connections.
   std::vector<switchboard::HeartbeatHandle> heartbeats;
   for (auto& fixture : fixtures) {
     heartbeats.push_back(reactor.schedule_heartbeats(
@@ -364,9 +364,8 @@ void reproduce_event_core(
       bench::smoke_mode() ? std::vector<long>{10'000, 100'000}
                           : std::vector<long>{10'000, 25'000, 50'000,
                                               100'000};
-  std::cout << "\n  [event core] " << kWorkers << " workers ("
-            << switchboard::to_string(switchboard::transport_from_env())
-            << " transport), ramping to " << ramp.back() << " sessions\n";
+  std::cout << "\n  [event core] " << kWorkers << " workers, ramping to "
+            << ramp.back() << " sessions\n";
 
   obs::journal::set_enabled(true);
   obs::set_contention_profiling(true);
@@ -840,17 +839,10 @@ void reproduce() {
                  static_cast<double>(adaptive_threshold_us));
   report.derived("journal_hard_drops", static_cast<double>(hard_drops));
 
-  // ISSUE 7: the same workload through the readiness-driven core, ramped to
-  // 100k sessions. The thread-per-connection path above stays measured (and
-  // gated) for differential comparison; PSF_SWITCHBOARD_TRANSPORT=threads
-  // skips the event section for old-core-only runs.
-  if (switchboard::transport_from_env() ==
-      switchboard::TransportKind::kEventLoop) {
-    reproduce_event_core(report, workers, rpc_us);
-  } else {
-    std::cout << "\n  [event core] skipped "
-                 "(PSF_SWITCHBOARD_TRANSPORT=threads)\n";
-  }
+  // The same workload through the readiness-driven core, ramped to 100k
+  // sessions. The thread-per-connection path above stays measured (and
+  // gated) for differential comparison.
+  reproduce_event_core(report, workers, rpc_us);
   report.write();
 
   std::cout << "  loaded RPC: obs on " << on_us << " us, off " << off_us

@@ -1,6 +1,6 @@
-// MiniLang execution engines head to head (DESIGN.md §4j): the same method
-// bodies timed on the tree-walking interpreter and on the register-bytecode
-// VM, pinned per call via InterpOptions::exec so one process measures both.
+// MiniLang's production engine against the reference interpreter (DESIGN.md
+// §4j): the same method bodies timed on the tests' tree-walking oracle
+// (tests/oracle) and on the register-bytecode VM, in one process.
 // Warm dispatch is what views feel in steady state — methods are compiled
 // once (generation time in production, a warmup call here), then every
 // request pays only the dispatch loop.
@@ -17,6 +17,7 @@
 #include "minilang/compile.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/parser.hpp"
+#include "oracle/tree_walker.hpp"
 #include "views/vig.hpp"
 
 namespace {
@@ -24,8 +25,6 @@ namespace {
 using namespace psf;
 using minilang::ClassDef;
 using minilang::ClassRegistry;
-using minilang::ExecMode;
-using minilang::InterpOptions;
 using minilang::MethodDef;
 using minilang::Value;
 
@@ -107,15 +106,22 @@ class OptEnv {
   std::string prior_;
 };
 
+// Which engine runs a timed call: the reference walker or the production VM.
+enum class Engine { kOracle, kVm };
+
+Value invoke(Engine engine, const std::shared_ptr<minilang::Instance>& self,
+             const std::string& method, const std::vector<Value>& args) {
+  return engine == Engine::kOracle
+             ? minilang::oracle::invoke_method(self, method, args,
+                                               /*external=*/true)
+             : minilang::invoke_method(self, method, args, /*external=*/true);
+}
+
 double time_method(const std::shared_ptr<minilang::Instance>& self,
                    const std::string& method, const std::vector<Value>& args,
-                   ExecMode mode, int iters) {
-  InterpOptions options;
-  options.exec = mode;
-  return bench::time_us(iters, [&] {
-    (void)minilang::invoke_method(self, method, args, /*external=*/true,
-                                  options);
-  });
+                   Engine engine, int iters) {
+  return bench::time_us(
+      iters, [&] { (void)invoke(engine, self, method, args); });
 }
 
 void reproduce() {
@@ -151,12 +157,12 @@ void reproduce() {
               "bytecode us/op", "speedup");
   for (const Case& c : cases) {
     // Warm both engines: compiles the bytecode once, faults nothing later.
-    (void)time_method(c.self, c.method, c.args, ExecMode::kInterp, 1);
-    (void)time_method(c.self, c.method, c.args, ExecMode::kBytecode, 1);
+    (void)time_method(c.self, c.method, c.args, Engine::kOracle, 1);
+    (void)time_method(c.self, c.method, c.args, Engine::kVm, 1);
     const double interp_us =
-        time_method(c.self, c.method, c.args, ExecMode::kInterp, iters);
+        time_method(c.self, c.method, c.args, Engine::kOracle, iters);
     const double bytecode_us =
-        time_method(c.self, c.method, c.args, ExecMode::kBytecode, iters);
+        time_method(c.self, c.method, c.args, Engine::kVm, iters);
     const double speedup = bytecode_us > 0 ? interp_us / bytecode_us : 0.0;
     std::printf("  %-16s %12.2f %12.2f %9.2fx\n", c.name, interp_us,
                 bytecode_us, speedup);
@@ -187,9 +193,9 @@ void reproduce() {
       for (const auto& m : hot->methods) fresh->methods.push_back(m.clone());
       phase.registry->register_class(fresh);
       const MethodDef* method = fresh->find_method("fieldHot");
-      const auto* code = minilang::ensure_compiled(*phase.registry, *fresh,
-                                                   *method);
-      phase.insns = code != nullptr ? code->code.size() : 0;
+      phase.insns =
+          minilang::ensure_compiled(*phase.registry, fresh, *method)
+              .code.size();
       phase.self = minilang::instantiate(*phase.registry, "Hot");
       return phase;
     };
@@ -197,9 +203,9 @@ void reproduce() {
     Phase opt = compile_phase("1");
     const std::vector<Value> args = {Value::integer(1000)};
     const double unopt_us =
-        time_method(unopt.self, "fieldHot", args, ExecMode::kBytecode, iters);
+        time_method(unopt.self, "fieldHot", args, Engine::kVm, iters);
     const double opt_us =
-        time_method(opt.self, "fieldHot", args, ExecMode::kBytecode, iters);
+        time_method(opt.self, "fieldHot", args, Engine::kVm, iters);
     const double speedup = opt_us > 0 ? unopt_us / opt_us : 0.0;
     const double reduction_pct =
         unopt.insns > 0
@@ -224,7 +230,7 @@ void reproduce() {
     for (const auto& m : hot->methods) fresh->methods.push_back(m.clone());
     registry.register_class(fresh);
     for (const auto& m : fresh->methods) {
-      (void)minilang::ensure_compiled(registry, *fresh, m);
+      (void)minilang::ensure_compiled(registry, fresh, m);
     }
   });
   std::printf("  %-16s %12.2f us/class (%zu methods)\n", "compile", compile_us,
@@ -233,46 +239,40 @@ void reproduce() {
   report.write();
 }
 
-void BM_SumLoop(benchmark::State& state, ExecMode mode) {
+void BM_SumLoop(benchmark::State& state, Engine engine) {
   ClassRegistry registry;
   auto hot = make_hot_class();
   registry.register_class(hot);
   auto self = minilang::instantiate(registry, "Hot");
-  InterpOptions options;
-  options.exec = mode;
   const std::vector<Value> args = {Value::integer(1000)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        minilang::invoke_method(self, "sumTo", args, true, options));
+    benchmark::DoNotOptimize(invoke(engine, self, "sumTo", args));
   }
 }
 void BM_SumLoopInterp(benchmark::State& state) {
-  BM_SumLoop(state, ExecMode::kInterp);
+  BM_SumLoop(state, Engine::kOracle);
 }
 void BM_SumLoopBytecode(benchmark::State& state) {
-  BM_SumLoop(state, ExecMode::kBytecode);
+  BM_SumLoop(state, Engine::kVm);
 }
 BENCHMARK(BM_SumLoopInterp);
 BENCHMARK(BM_SumLoopBytecode);
 
-void BM_FieldChurn(benchmark::State& state, ExecMode mode) {
+void BM_FieldChurn(benchmark::State& state, Engine engine) {
   ClassRegistry registry;
   auto hot = make_hot_class();
   registry.register_class(hot);
   auto self = minilang::instantiate(registry, "Hot");
-  InterpOptions options;
-  options.exec = mode;
   const std::vector<Value> args = {Value::integer(3)};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        minilang::invoke_method(self, "churn", args, true, options));
+    benchmark::DoNotOptimize(invoke(engine, self, "churn", args));
   }
 }
 void BM_FieldChurnInterp(benchmark::State& state) {
-  BM_FieldChurn(state, ExecMode::kInterp);
+  BM_FieldChurn(state, Engine::kOracle);
 }
 void BM_FieldChurnBytecode(benchmark::State& state) {
-  BM_FieldChurn(state, ExecMode::kBytecode);
+  BM_FieldChurn(state, Engine::kVm);
 }
 BENCHMARK(BM_FieldChurnInterp);
 BENCHMARK(BM_FieldChurnBytecode);

@@ -16,18 +16,8 @@ namespace psf::minilang {
 
 namespace {
 
-// Internal signal for "this method stays on the interpreter". Never escapes
-// compile_method.
-struct CompileFail {
-  std::string message;
-};
-
-[[noreturn]] void fail(std::string message) {
-  throw CompileFail{std::move(message)};
-}
-
-// How an identifier resolves inside the method being compiled. The
-// interpreter's locals are *dynamic* — `var x` makes `x` local only once
+// How an identifier resolves inside the method being compiled. MiniLang
+// locals are *dynamic* — `var x` makes `x` local only once
 // the statement executes; before that the name falls through to a self
 // field or an undefined-variable error. The compiler keeps that behavior
 // with per-slot defined bits and four access flavors:
@@ -45,11 +35,11 @@ struct Local {
 class Compiler {
  public:
   Compiler(const ClassRegistry& registry, const ClassDef& cls,
-           const MethodDef& method, const CompileOptions& options)
-      : registry_(registry), cls_(cls), method_(method), options_(options) {}
+           const MethodDef& method)
+      : registry_(registry), cls_(cls), method_(method) {}
 
-  std::shared_ptr<const CompiledMethod> run() {
-    out_ = std::make_shared<CompiledMethod>();
+  std::unique_ptr<CompiledMethod> run() {
+    out_ = std::make_unique<CompiledMethod>();
     out_->method_name = method_.name;
     out_->self_class = &cls_;
 
@@ -63,13 +53,13 @@ class Compiler {
     std::int32_t slot = 0;
     for (const auto& name : field_names) field_slots_[name] = slot++;
 
+    // Every parameter position gets its register; a repeated name binds to
+    // the last one, so the last argument wins.
     for (const auto& p : method_.params) {
-      if (locals_.count(p) > 0) fail("duplicate parameter '" + p + "'");
       Local l;
-      l.reg = next_local_reg();
+      l.reg = next_local_reg(p);
       l.always_defined = true;
       locals_[p] = l;
-      out_->local_names.push_back(p);
     }
     out_->num_params = static_cast<std::uint32_t>(method_.params.size());
     collect_vars(method_.body);
@@ -82,7 +72,7 @@ class Compiler {
     emit(Op::kReturnNull, 0, 0, 0, 0, 0);
 
     out_->num_registers = high_water_;
-    return out_;
+    return std::move(out_);
   }
 
  private:
@@ -94,17 +84,17 @@ class Compiler {
 
   void collect_vars_stmt(const Stmt& s) {
     if (s.kind == StmtKind::kVarDecl) {
-      if (s.name == "this") fail("'var this' is not compilable");
+      // `var this` gets a slot like any local; reads of `this` still load
+      // self (ident_into checks the name first), so it is never read.
       if (locals_.count(s.name) == 0) {
         Local l;
-        l.reg = next_local_reg();
+        l.reg = next_local_reg(s.name);
         auto field = field_slots_.find(s.name);
         if (field != field_slots_.end()) {
           l.also_field = true;
           l.field_slot = field->second;
         }
         locals_[s.name] = l;
-        out_->local_names.push_back(s.name);
       }
     }
     if (s.init) collect_vars_stmt(*s.init);
@@ -113,11 +103,21 @@ class Compiler {
     collect_vars(s.else_body);
   }
 
-  std::uint16_t next_local_reg() {
-    const std::size_t reg = locals_.size();
-    if (reg >= options_.max_registers) fail("too many locals");
+  std::uint16_t next_local_reg(const std::string& name) {
+    const std::size_t reg = out_->local_names.size();
+    if (reg >= kMaxOperand) fail("more locals than 16-bit register operands");
+    out_->local_names.push_back(name);
     return static_cast<std::uint16_t>(reg);
   }
+
+  /// Refuse a method the 16-bit operand encoding cannot express. The only
+  /// refusal reachable from parseable source; it surfaces as an EvalError.
+  [[noreturn]] void fail(const std::string& reason) const {
+    throw EvalError("cannot compile method '" + method_.name + "' on " +
+                    cls_.name + ": " + reason);
+  }
+
+  static constexpr std::size_t kMaxOperand = 0xFFFF;
 
   // --- emission ------------------------------------------------------------
 
@@ -141,8 +141,8 @@ class Compiler {
   std::size_t here() const { return out_->code.size(); }
 
   std::uint16_t alloc_temp() {
-    if (temp_top_ >= options_.max_registers || temp_top_ >= 0xFFFF) {
-      fail("register overflow");
+    if (temp_top_ >= kMaxOperand) {
+      fail("more registers than 16-bit register operands");
     }
     const std::uint16_t reg = static_cast<std::uint16_t>(temp_top_++);
     if (temp_top_ > high_water_) high_water_ = temp_top_;
@@ -152,7 +152,7 @@ class Compiler {
   std::uint16_t add_name(const std::string& name) {
     auto it = name_index_.find(name);
     if (it != name_index_.end()) return it->second;
-    if (out_->names.size() >= 0xFFFF) fail("name pool overflow");
+    if (out_->names.size() >= kMaxOperand) fail("name pool overflow");
     const auto idx = static_cast<std::uint16_t>(out_->names.size());
     out_->names.push_back(name);
     name_index_[name] = idx;
@@ -176,7 +176,7 @@ class Compiler {
     for (std::size_t i = 0; i < out_->self_methods.size(); ++i) {
       if (out_->self_methods[i] == m) return static_cast<std::uint16_t>(i);
     }
-    if (out_->self_methods.size() >= 0xFFFF) fail("method pool overflow");
+    if (out_->self_methods.size() >= kMaxOperand) fail("method pool overflow");
     out_->self_methods.push_back(m);
     return static_cast<std::uint16_t>(out_->self_methods.size() - 1);
   }
@@ -209,7 +209,7 @@ class Compiler {
   }
 
   /// Evaluate `e` at compile time when that provably matches what the
-  /// interpreter would do at run time: literal leaves, pure operators, no
+  /// VM would do at run time: literal leaves, pure operators, no
   /// chance of an error (division by zero and overflow stay runtime ops).
   std::optional<Value> fold(const Expr& e) {  // NOLINT(misc-no-recursion)
     switch (e.kind) {
@@ -332,7 +332,7 @@ class Compiler {
         } else if (e.name == "!") {
           emit(Op::kNot, dst, v, 0, 0, e.line);
         } else {
-          fail("unknown unary operator " + e.name);
+          emit_throw("unknown unary operator " + e.name, e.line);
         }
         break;
       }
@@ -420,9 +420,12 @@ class Compiler {
         {"<=", Op::kLe}, {">", Op::kGt},  {">=", Op::kGe},
     };
     auto it = kOps.find(op);
-    if (it == kOps.end()) fail("unknown binary operator " + op);
     const std::uint16_t lhs = expr_value(*e.children[0]);
     const std::uint16_t rhs = expr_value(*e.children[1]);
+    if (it == kOps.end()) {
+      emit_throw("unknown binary operator " + op, e.line);  // after operands
+      return;
+    }
     emit(it->second, dst, lhs, rhs, 0, e.line);
   }
 
@@ -446,8 +449,8 @@ class Compiler {
       emit(Op::kCallSelf, dst, add_self_method(m), base, nargs, e.line);
       return;
     }
-    // The interpreter evaluates arguments first and only then discovers the
-    // method is missing; keep that order with an inline throw.
+    // Arguments are evaluated first and only then is the method found
+    // missing (as in the reference interpreter); an inline throw keeps that.
     emit_throw("no method '" + e.name + "' on " + cls_.name, e.line);
   }
 
@@ -510,7 +513,8 @@ class Compiler {
       }
       case StmtKind::kFor: {
         // init and update execute in the *enclosing* loop context: a break
-        // or continue inside them escapes this loop, as in the interpreter.
+        // or continue inside them escapes this loop, as in the reference
+        // interpreter.
         if (s.init) compile_stmt(*s.init);
         const std::size_t top = here();
         std::size_t exit = 0;
@@ -537,7 +541,7 @@ class Compiler {
       case StmtKind::kContinue: {
         if (loops_.empty()) {
           // Thrown only if the statement actually executes, like the
-          // interpreter's flow-escape check in invoke_resolved.
+          // reference interpreter's flow-escape check.
           emit_throw("'break'/'continue' outside a loop in " + method_.name,
                      s.line);
         } else if (s.kind == StmtKind::kBreak) {
@@ -592,7 +596,7 @@ class Compiler {
                target.line);
           return;
         }
-        // RHS runs before the error, like the interpreter.
+        // RHS runs before the error, like the reference interpreter.
         expr_value(*s.expr);
         emit_throw("line " + std::to_string(target.line) +
                        ": assignment to undefined variable '" + target.name +
@@ -623,9 +627,8 @@ class Compiler {
   const ClassRegistry& registry_;
   const ClassDef& cls_;
   const MethodDef& method_;
-  const CompileOptions& options_;
 
-  std::shared_ptr<CompiledMethod> out_;
+  std::unique_ptr<CompiledMethod> out_;
   std::map<std::string, Local> locals_;
   std::map<std::string, std::int32_t> field_slots_;
   std::map<std::string, std::uint16_t> name_index_;
@@ -636,67 +639,73 @@ class Compiler {
 
 }  // namespace
 
-CompileResult compile_method(const ClassRegistry& registry,
-                             const ClassDef& cls, const MethodDef& method,
-                             const CompileOptions& options) {
-  CompileResult result;
-  if (method.is_native) {
-    result.error = "native method";
-    return result;
+namespace {
+
+bool declares(const ClassDef& cls, const MethodDef& method) {
+  for (const MethodDef& m : cls.methods) {
+    if (&m == &method) return true;
   }
-  try {
-    Compiler compiler(registry, cls, method, options);
-    result.code = compiler.run();
-  } catch (const CompileFail& f) {
-    result.error = f.message;
-  }
-  return result;
+  return false;
 }
 
-const CompiledMethod* ensure_compiled(const ClassRegistry& registry,
-                                      const ClassDef& cls,
-                                      const MethodDef& method,
-                                      const CompileOptions& options) {
-  CompiledSlot* slot = method.compiled.get();
-  if (slot == nullptr || method.is_native) return nullptr;
-  const int state = slot->state.load(std::memory_order_acquire);
-  if (state == 1) {
-    const CompiledMethod* code = slot->code.get();
-    return code->self_class == &cls ? code : nullptr;
+// A live class at `cls`'s address is `cls` itself; an expired entry whose
+// address was reused by a new class must not match.
+const CompiledMethod* find_inherited(const CompiledSlot& slot,
+                                     const ClassDef& cls) {
+  for (const CompiledSlot::Inherited* v =
+           slot.inherited.load(std::memory_order_acquire);
+       v != nullptr; v = v->next) {
+    if (v->code->self_class == &cls && !v->cls.expired()) return v->code;
   }
-  if (state == 2) return nullptr;
+  return nullptr;
+}
+
+}  // namespace
+
+const CompiledMethod& ensure_compiled(const ClassRegistry& registry,
+                                      const std::shared_ptr<const ClassDef>& cls,
+                                      const MethodDef& method) {
+  CompiledSlot* slot = method.compiled.get();
+  if (method.is_native || slot == nullptr) {
+    throw EvalError("method '" + method.name + "' on " + cls->name +
+                    (method.is_native ? " is native"
+                                      : " belongs to no registered class"));
+  }
+  // Fast path: the receiver's class declares the method.
+  const CompiledMethod* own = slot->own.load(std::memory_order_acquire);
+  if (own != nullptr && own->self_class == cls.get()) return *own;
+  if (const CompiledMethod* code = find_inherited(*slot, *cls)) return *code;
 
   const std::lock_guard<std::mutex> lock(slot->mu);
-  const int locked_state = slot->state.load(std::memory_order_relaxed);
-  if (locked_state == 1) {
-    const CompiledMethod* code = slot->code.get();
-    return code->self_class == &cls ? code : nullptr;
-  }
-  if (locked_state == 2) return nullptr;
+  own = slot->own.load(std::memory_order_relaxed);
+  if (own != nullptr && own->self_class == cls.get()) return *own;
+  if (const CompiledMethod* code = find_inherited(*slot, *cls)) return *code;
 
   const auto start = std::chrono::steady_clock::now();
-  CompileResult result = compile_method(registry, cls, method, options);
+  std::unique_ptr<CompiledMethod> compiled =
+      Compiler(registry, *cls, method).run();
   const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
                       std::chrono::steady_clock::now() - start)
                       .count();
   obs::histogram("psf.minilang.compile_us").observe(static_cast<double>(us));
-  if (!result.ok()) {
-    obs::counter("psf.minilang.compile_fallbacks").inc();
-    slot->state.store(2, std::memory_order_release);
-    return nullptr;
-  }
   obs::counter("psf.minilang.methods_compiled").inc();
   if (optimize_enabled()) {
-    // The code was created a few lines up and is still exclusively owned, so
-    // shedding const for the in-place optimization pass is sound.
-    auto mutable_code = std::const_pointer_cast<CompiledMethod>(result.code);
-    const OptimizeStats opt = optimize_method(*mutable_code);
+    const OptimizeStats opt = optimize_method(*compiled);
     obs::counter("psf.minilang.opt_loads_cse").inc(opt.loads_cse);
     obs::counter("psf.minilang.opt_insns_removed").inc(opt.insns_removed);
   }
-  slot->code = std::move(result.code);
-  slot->state.store(1, std::memory_order_release);
-  return slot->code.get();
+  const CompiledMethod* code = compiled.get();
+  slot->codes.push_back(std::move(compiled));
+  if (declares(*cls, method)) {
+    slot->own.store(code, std::memory_order_release);
+  } else {
+    slot->nodes.push_back(std::make_unique<const CompiledSlot::Inherited>(
+        CompiledSlot::Inherited{
+            code, cls, slot->inherited.load(std::memory_order_relaxed)}));
+    slot->inherited.store(slot->nodes.back().get(),
+                          std::memory_order_release);
+  }
+  return *code;
 }
 
 namespace {

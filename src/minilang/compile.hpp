@@ -1,9 +1,9 @@
 // MiniLang bytecode compiler (DESIGN.md §4j). Lowers parsed method bodies to
 // a compact register bytecode executed by the threaded-dispatch VM in
-// vm.{hpp,cpp}. Compilation happens once per (method, class) — at view
-// generation time inside VIG, or lazily on first invocation for ordinary
-// classes — and resolves everything a name-hash lookup used to pay for on
-// every execution:
+// vm.{hpp,cpp}, the only production execution engine. Compilation happens
+// once per (method, concrete class) — at view generation time inside VIG, or
+// lazily on first invocation for ordinary classes — and resolves everything
+// a name-hash lookup used to pay for on every execution:
 //
 //  - locals and parameters become register slots;
 //  - `this` fields become slot indices into the instance's field table
@@ -13,13 +13,13 @@
 //  - builtins bind to their table index;
 //  - literal subexpressions are constant-folded into the constant pool.
 //
-// A compiled method is tied to the exact ClassDef it was compiled against
-// (`self_class`): the engine checks identity before entering the VM and
-// falls back to the tree-walking interpreter on mismatch (an inherited
-// method invoked through a subclass with a different field layout), on
-// compile failure, or when PSF_MINILANG_EXEC=interp. Fallbacks are counted
-// in psf.minilang.interp_fallbacks; by construction the VM is value- and
-// side-effect-identical to the interpreter (tests/bytecode_diff_test.cpp).
+// Field slots depend on the receiver's whole field layout, so a compiled
+// method is tied to the concrete ClassDef it was compiled against
+// (`self_class`), and an inherited method gets one compiled variant per
+// subclass it runs on (CompiledSlot). Every parseable body compiles; only
+// the 16-bit operand and pool limits can refuse one, with an EvalError. The
+// VM is value- and side-effect-identical to the tree-walking reference
+// interpreter in tests/oracle (tests/bytecode_diff_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -115,44 +115,35 @@ struct CompiledMethod {
   std::uint32_t num_caches = 0;
 };
 
-/// Per-MethodDef compilation cache. Created by ClassRegistry::register_class
-/// (and MethodDef::clone) so the slot always exists before a method can be
-/// invoked; the lazy compile in the engine then needs no pointer race.
-/// state: 0 = not compiled, 1 = ready (code immutable), 2 = failed.
+/// Per-MethodDef compilation cache: one CompiledMethod per concrete class the
+/// method runs on. Created by ClassRegistry::register_class (and
+/// MethodDef::clone) so it exists before the method can be invoked. Lookups
+/// never lock: `own` holds the declaring class's code (one acquire load and
+/// one compare), and inheriting subclasses' code hangs off `inherited`, an
+/// append-only list. Compiles serialize on `mu`.
 struct CompiledSlot {
+  struct Inherited {
+    const CompiledMethod* code;
+    std::weak_ptr<const ClassDef> cls;  // expired: the address may be reused
+    const Inherited* next;
+  };
   std::mutex mu;
-  std::atomic<int> state{0};
-  std::shared_ptr<const CompiledMethod> code;
+  std::atomic<const CompiledMethod*> own{nullptr};
+  std::atomic<const Inherited*> inherited{nullptr};
+  // Storage for everything published above; guarded by mu, never shrinks.
+  std::vector<std::unique_ptr<const CompiledMethod>> codes;
+  std::vector<std::unique_ptr<const Inherited>> nodes;
 };
 
-struct CompileOptions {
-  /// Registers a method may use before the compiler gives up and the method
-  /// stays on the interpreter (fallback is counted, never an error).
-  std::uint32_t max_registers = 250;
-};
-
-struct CompileResult {
-  std::shared_ptr<const CompiledMethod> code;  // null on failure
-  std::string error;                           // why compilation was refused
-  bool ok() const { return code != nullptr; }
-};
-
-/// Compile `method` against `cls`'s field layout (fields are resolved over
-/// `registry.all_fields(cls)`). Never throws: unsupported shapes are
-/// reported in CompileResult::error. Does not touch the method's slot.
-CompileResult compile_method(const ClassRegistry& registry,
-                             const ClassDef& cls, const MethodDef& method,
-                             const CompileOptions& options = {});
-
-/// Compile-and-publish into the method's CompiledSlot (thread-safe, at most
-/// one compile per slot). Returns the published code, or nullptr when the
-/// method is native, has no slot, or failed to compile (the failure is
-/// remembered). Updates psf.minilang.{compile_us,methods_compiled} and, on
-/// failure, psf.minilang.compile_fallbacks.
-const CompiledMethod* ensure_compiled(const ClassRegistry& registry,
-                                      const ClassDef& cls,
-                                      const MethodDef& method,
-                                      const CompileOptions& options = {});
+/// The bytecode for `method` running on an instance of `cls`, compiled and
+/// published on first use (thread-safe, one compile per (method, class)).
+/// Throws EvalError for native methods, for methods of unregistered classes
+/// (no slot), and for bodies past the 16-bit operand or pool limits — it
+/// never returns a partial result. Updates
+/// psf.minilang.{compile_us,methods_compiled}.
+const CompiledMethod& ensure_compiled(const ClassRegistry& registry,
+                                      const std::shared_ptr<const ClassDef>& cls,
+                                      const MethodDef& method);
 
 /// Human-readable listing of a compiled method: header, constant pool,
 /// register names, and one line per instruction (vig_cli --dump-bytecode).

@@ -1,11 +1,13 @@
-// Tree-walking interpreter for MiniLang. One Interpreter per call; it is
-// cheap (a couple of pointers). Step and depth limits guard against runaway
-// spliced code — VIG validation should catch bad code first, but the
-// interpreter is the last line of defense.
+// MiniLang call plumbing. Every method body runs as register bytecode
+// (compile.hpp) on the threaded VM (vm.hpp); the engine here owns what spans
+// calls: name resolution and visibility, arity, call-depth and step limits,
+// native methods, and the coherence brackets VIG injects. One engine per
+// external call; it is cheap (a couple of counters). The limits guard
+// against runaway spliced code — VIG validation should catch bad code
+// first, but the engine is the last line of defense.
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,24 +16,9 @@
 
 namespace psf::minilang {
 
-/// How method bodies execute: the tree-walking interpreter, or register
-/// bytecode compiled on first use (compile.hpp) and run by the threaded VM
-/// (vm.hpp). Bytecode is the default; methods the compiler cannot handle
-/// fall back to the interpreter per call, counted in
-/// psf.minilang.interp_fallbacks. The two engines are value- and
-/// side-effect-identical (tests/bytecode_diff_test.cpp).
-enum class ExecMode { kInterp, kBytecode };
-
-/// Process-wide default: PSF_MINILANG_EXEC=interp selects the tree walker,
-/// anything else (including unset) selects bytecode. Read once and cached.
-ExecMode default_exec_mode();
-
 struct InterpOptions {
   std::size_t max_steps = 2'000'000;
   std::size_t max_depth = 128;
-  /// Per-call engine override; unset means default_exec_mode(). Benches and
-  /// the differential suite use this to pin both engines in one process.
-  std::optional<ExecMode> exec;
 };
 
 /// Create an instance of `class_name` and run its `constructor` method (if
@@ -55,11 +42,7 @@ Value invoke_method_resolved(const std::shared_ptr<Instance>& self,
                              const MethodDef& method, std::vector<Value> args,
                              InterpOptions options = {});
 
-/// Evaluate a standalone expression with no `this` (literals, arithmetic,
-/// builtins). Used by tests.
-Value eval_standalone(const std::string& source, InterpOptions options = {});
-
-/// Names of all interpreter builtins (VIG treats these as always-defined).
+/// Names of all builtins (VIG treats these as always-defined).
 const std::vector<std::string>& builtin_names();
 
 }  // namespace psf::minilang

@@ -60,12 +60,11 @@ struct MethodDef {
   // hooks at run time (paper §4.3).
   bool coherence_wrapped = false;
 
-  // Bytecode cache, one per registered method. ClassRegistry::register_class
+  // Bytecode cache, one per registered method, holding one compiled variant
+  // per concrete class the method runs on. ClassRegistry::register_class
   // creates it (and clone() makes a fresh one) so it always exists before
   // the method can be invoked; the engine compiles into it lazily, VIG at
-  // generation time. Compiled code is keyed to a concrete ClassDef — a
-  // plain struct copy shares the slot and simply falls back to the
-  // interpreter on the class-identity check, so sharing is safe, just slow.
+  // generation time.
   std::shared_ptr<CompiledSlot> compiled;
 
   MethodDef clone() const;
@@ -73,7 +72,7 @@ struct MethodDef {
 
 struct FieldDef {
   std::string name;
-  std::string type;  // informational (codegen); the interpreter is dynamic
+  std::string type;  // informational (codegen); MiniLang is dynamic
   Value initial;     // default null
 };
 
@@ -101,6 +100,8 @@ struct ClassDef {
 class ClassRegistry {
  public:
   void register_class(std::shared_ptr<ClassDef> cls);
+  /// Drop `name` (VIG undoes a registration whose generation it refused).
+  void remove_class(const std::string& name);
   void register_interface(InterfaceDef iface);
 
   std::shared_ptr<const ClassDef> find_class(const std::string& name) const;
@@ -144,6 +145,7 @@ class Instance : public CallTarget,
   std::string type_name() const override { return cls_->name; }
 
   const ClassDef& cls() const { return *cls_; }
+  const std::shared_ptr<const ClassDef>& cls_ptr() const { return cls_; }
   const ClassRegistry& registry() const { return *registry_; }
 
   Value get_field(const std::string& name) const;

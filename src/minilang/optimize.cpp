@@ -371,9 +371,10 @@ OptimizeStats optimize_method(CompiledMethod& m) {
 
   // Allocate one monomorphic inline-cache slot per member-call site; the VM
   // fills them on first dispatch and VIG seeds them from deployment facts.
+  // Sites past the 16-bit slot operand keep d = 0 (uncached).
   std::uint32_t caches = 0;
   for (Insn& insn : m.code) {
-    if (insn.op == Op::kCallMember) {
+    if (insn.op == Op::kCallMember && caches < 0xFFFF) {
       insn.d = static_cast<std::uint16_t>(++caches);
     }
   }

@@ -3,8 +3,8 @@
 // enabled (the default): field-load CSE, copy propagation with dead-move
 // elimination on temporaries, and inline-cache slot allocation for
 // kCallMember sites. Every transformation is locally provable — no
-// cross-method or type assumptions — and preserves the interpreter-visible
-// semantics exactly: values, error messages, evaluation order, and the
+// cross-method or type assumptions — and preserves the observable semantics
+// exactly: values, error messages, evaluation order, and the
 // step-limit firing point (eliminated instructions fold their step cost into
 // the next retained instruction of the same basic block).
 #pragma once
@@ -21,13 +21,12 @@ struct OptimizeStats {
 };
 
 /// Whether the optimizer runs inside ensure_compiled. Reads PSF_MINILANG_OPT
-/// on every call (unlike the latched engine/strip switches) so tests and
-/// benches can toggle it per phase against fresh registries; any value other
-/// than "0" — including unset — enables it.
+/// on every call so tests and benches can toggle it per phase against fresh
+/// registries; any value other than "0" — including unset — enables it.
 bool optimize_enabled();
 
 /// Optimize `m` in place. Safe on any compiler output; idempotent enough to
-/// run once per compile (ensure_compiled calls it exactly once per slot).
+/// run once per compile (ensure_compiled calls it once per compiled variant).
 OptimizeStats optimize_method(CompiledMethod& m);
 
 }  // namespace psf::minilang

@@ -19,9 +19,10 @@ namespace psf::minilang {
 
 namespace {
 
-// The arithmetic/comparison helpers replicate interp.cpp's eval_binary
-// byte-for-byte (operand evaluation order, error strings, type coercions);
-// tests/bytecode_diff_test.cpp pins the equivalence.
+// The arithmetic/comparison helpers replicate the reference interpreter's
+// eval_binary (tests/oracle) byte-for-byte (operand evaluation order, error
+// strings, type coercions); tests/bytecode_diff_test.cpp pins the
+// equivalence.
 
 Value op_add(const Value& lhs, const Value& rhs) {
   if (lhs.is_string() || rhs.is_string()) {

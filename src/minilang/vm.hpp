@@ -6,10 +6,9 @@
 // The VM owns only the register file of one activation. Everything with
 // cross-call state stays in the engine that called it, reached through
 // VmHost: nested self-calls re-enter the engine (depth/step accounting,
-// arity checks and coherence brackets all run there, and the callee may
-// itself execute as bytecode or tree-walk), and the step counter is the
-// engine's own, shared so a deep mixed interp/bytecode stack hits one
-// common "step limit exceeded" budget.
+// arity checks and coherence brackets all run there), and the step counter
+// is the engine's own, shared so a deep call stack hits one common
+// "step limit exceeded" budget.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +40,8 @@ class VmHost {
 /// Execute `method` on `self` with `args` already arity-checked by the
 /// caller. `steps` is the engine's step counter; each dispatched instruction
 /// increments it and the run aborts with "step limit exceeded" past
-/// `max_steps`. Throws EvalError exactly where the interpreter would.
+/// `max_steps`. Throws EvalError exactly where the reference interpreter
+/// (tests/oracle) would.
 Value vm_execute(const CompiledMethod& method,
                  const std::shared_ptr<Instance>& self,
                  std::vector<Value> args, VmHost& host, std::size_t& steps,

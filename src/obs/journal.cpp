@@ -176,13 +176,25 @@ struct OverflowRing {
 
 constexpr std::size_t kDefaultOverflowCapacity = 16384;
 
-/// The live overflow ring. Swapped wholesale by set_overflow_capacity();
-/// superseded rings are intentionally leaked (a racing pusher may still
-/// hold the old pointer, and reconfiguration is a rare, explicit act).
+/// The live overflow ring. Swapped wholesale by set_overflow_capacity().
 std::atomic<OverflowRing*>& overflow_slot() {
   static std::atomic<OverflowRing*> ring{
       new OverflowRing(kDefaultOverflowCapacity)};
   return ring;
+}
+
+/// Rings superseded by set_overflow_capacity(). A racing pusher may still
+/// hold one, so they are never freed; listing them here keeps them
+/// reachable from a process-owned root, which is what LeakSanitizer checks.
+/// Reconfiguration is a rare, explicit act, so the list stays tiny.
+struct RetiredOverflowRings {
+  std::mutex mutex;
+  std::vector<OverflowRing*> rings;
+};
+
+RetiredOverflowRings& retired_overflow_rings() {
+  static auto* retired = new RetiredOverflowRings();  // never destroyed
+  return *retired;
 }
 
 /// One thread's ring. The owning thread is the only writer; drainers read
@@ -379,9 +391,13 @@ std::uint64_t hard_dropped() {
 void set_overflow_capacity(std::size_t capacity) {
   OverflowRing* replacement =
       capacity == 0 ? nullptr : new OverflowRing(capacity);
-  // The superseded ring is leaked on purpose: a pusher racing the swap may
-  // still hold its pointer, and resizing is a rare, explicit config act.
-  overflow_slot().store(replacement, std::memory_order_release);
+  OverflowRing* superseded =
+      overflow_slot().exchange(replacement, std::memory_order_acq_rel);
+  if (superseded != nullptr) {
+    RetiredOverflowRings& retired = retired_overflow_rings();
+    std::lock_guard<std::mutex> lock(retired.mutex);
+    retired.rings.push_back(superseded);
+  }
 }
 
 std::size_t overflow_capacity() {
@@ -441,7 +457,6 @@ std::string event_name(std::uint16_t subsystem, std::uint16_t code) {
       switch (code) {
         case kViFullImageFallback: return "full-image-fallback";
         case kViVigGenerate: return "vig-generate";
-        case kViBytecodeFallback: return "bytecode-fallback";
         case kViMemberStrip: return "member-strip";
       }
       break;

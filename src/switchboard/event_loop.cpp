@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
@@ -32,19 +31,6 @@ bool poller_available(PollerKind kind) {
 #else
   return kind == PollerKind::kPoll;
 #endif
-}
-
-PollerKind poller_kind_from_env() {
-  const char* env = std::getenv("PSF_LOOP_POLLER");
-  if (env != nullptr) {
-    const std::string v(env);
-    if (v == "poll") return PollerKind::kPoll;
-    if (v == "epoll" && poller_available(PollerKind::kEpoll)) {
-      return PollerKind::kEpoll;
-    }
-  }
-  return poller_available(PollerKind::kEpoll) ? PollerKind::kEpoll
-                                              : PollerKind::kPoll;
 }
 
 namespace {

@@ -39,15 +39,17 @@
 
 namespace psf::switchboard {
 
-/// Which OS readiness primitive backs a Poller. `kEpoll` is the default on
-/// Linux; `kPoll` is the portable fallback and is also selectable on Linux
-/// for differential testing (PSF_LOOP_POLLER=poll).
+/// Which OS readiness primitive backs a Poller. `kPoll` is the portable
+/// fallback; on Linux either can be passed explicitly (the tests run every
+/// loop test over both).
 enum class PollerKind { kEpoll, kPoll };
 
-/// Resolve the poller from $PSF_LOOP_POLLER ("epoll" | "poll"); defaults to
-/// epoll where available, poll otherwise. Unknown values fall back to the
-/// default so a typo degrades instead of aborting.
-PollerKind poller_kind_from_env();
+/// The platform choice: epoll on Linux, poll elsewhere.
+#ifdef __linux__
+inline constexpr PollerKind kDefaultPoller = PollerKind::kEpoll;
+#else
+inline constexpr PollerKind kDefaultPoller = PollerKind::kPoll;
+#endif
 
 /// True when this build can service `kind` (epoll is Linux-only).
 bool poller_available(PollerKind kind);
@@ -171,7 +173,7 @@ class EventLoop {
   void set_worker_index(int index) { worker_index_ = index; }
   int worker_index() const { return worker_index_; }
 
-  explicit EventLoop(PollerKind kind = poller_kind_from_env(),
+  explicit EventLoop(PollerKind kind = kDefaultPoller,
                      std::uint64_t timer_tick_ns = 1'000'000);
   ~EventLoop();
 

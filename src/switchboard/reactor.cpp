@@ -78,20 +78,6 @@ int env_int(const char* name, int fallback) {
 
 }  // namespace
 
-// ------------------------------------------------------------------ selector
-
-TransportKind transport_from_env() {
-  const char* value = std::getenv("PSF_SWITCHBOARD_TRANSPORT");
-  if (value != nullptr && std::strcmp(value, "threads") == 0) {
-    return TransportKind::kThreadPerConnection;
-  }
-  return TransportKind::kEventLoop;
-}
-
-const char* to_string(TransportKind kind) {
-  return kind == TransportKind::kEventLoop ? "event" : "threads";
-}
-
 // ------------------------------------------------------------------ conduits
 
 #ifdef __linux__

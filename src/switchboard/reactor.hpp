@@ -1,8 +1,8 @@
 // Reactor: the event-driven Switchboard transport (ISSUE 7 tentpole).
 //
 // A fixed pool of EventLoop workers multiplexes many thousands of secure
-// sessions, replacing the thread-per-connection path (Connection::call +
-// HeartbeatDriver threads) for high-fanout deployments:
+// sessions, replacing the thread-per-connection path (Connection::call) for
+// high-fanout deployments:
 //
 //   Reactor ── owns ──> EventLoop[0..W)          one OS thread each
 //                          │  fd poller (epoll/poll) + timer wheel + tasks
@@ -33,9 +33,9 @@
 // with a single write — so a burst of B requests costs O(1) syscalls/wakes,
 // not O(B).
 //
-// The old transport stays available behind TransportKind for differential
-// testing: the same request bytes produce byte-identical sealed frames on
-// both paths (asserted by tests/reactor_test.cpp).
+// The synchronous Connection path remains (the paper's experiments and the
+// cold path run on it); the same request bytes produce byte-identical
+// sealed frames on both paths (asserted by tests/reactor_test.cpp).
 #pragma once
 
 #include <atomic>
@@ -54,17 +54,6 @@
 #include "switchboard/replay_window.hpp"
 
 namespace psf::switchboard {
-
-// ------------------------------------------------------------------ selector
-
-/// Which transport carries mail (and other high-fanout) traffic. The
-/// thread-per-connection path is the paper-faithful baseline; the event loop
-/// is the production-scale core. Kept selectable for differential testing.
-enum class TransportKind { kThreadPerConnection, kEventLoop };
-
-/// $PSF_SWITCHBOARD_TRANSPORT: "threads" | "event" (default "event").
-TransportKind transport_from_env();
-const char* to_string(TransportKind kind);
 
 // ------------------------------------------------------------------ conduits
 
@@ -271,12 +260,12 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
 
 // ------------------------------------------------------------------ reactor
 
-/// Tuning for a Reactor pool. Zero/default fields resolve from the
-/// environment: PSF_LOOP_WORKERS (worker count), PSF_LOOP_POLLER
-/// (epoll|poll), PSF_LOOP_BATCH (max frames per readiness dispatch).
+/// Tuning for a Reactor pool. Zero fields resolve from the environment:
+/// PSF_LOOP_WORKERS (worker count), PSF_LOOP_BATCH (max frames per
+/// readiness dispatch).
 struct ReactorOptions {
   int workers = 0;                  // 0 = $PSF_LOOP_WORKERS, default 2
-  PollerKind poller = poller_kind_from_env();
+  PollerKind poller = kDefaultPoller;
   std::size_t max_batch_frames = 0; // 0 = $PSF_LOOP_BATCH, default 128
   std::uint64_t timer_tick_ns = 1'000'000;  // 1 ms wheel resolution
 };
@@ -335,9 +324,9 @@ class Reactor {
                                      std::uint64_t session_id,
                                      std::string mailbox);
 
-  /// Drive Connection::heartbeat() from the timer wheel instead of a
-  /// dedicated HeartbeatDriver thread: O(1) threads for any number of
-  /// monitored connections. The probe runs on a worker loop; cancel via the
+  /// Drive Connection::heartbeat() from the timer wheel — the one way to
+  /// heartbeat a connection: O(1) threads for any number of monitored
+  /// connections. The probe runs on a worker loop; cancel via the
   /// handle (or Reactor::stop). Connections are spread across workers by
   /// host-name hash.
   HeartbeatHandle schedule_heartbeats(std::shared_ptr<Connection> connection,

@@ -89,7 +89,7 @@ std::string generate_java_source(const ClassDef& view_class,
     for (const auto& member : view_class.stripped_members) {
       os << " " << member << ";";
     }
-    os << " set PSF_VIG_STRIP=0 to keep them **/\n";
+    os << " VigOptions::strip = false keeps them **/\n";
   }
   os << "public class " << view_class.name;
   if (!view_class.super_name.empty()) os << " extends " << view_class.super_name;

@@ -1,10 +1,8 @@
 #include "views/vig.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <sstream>
-#include <string_view>
 
 #include "analysis/analyzer.hpp"
 #include "analysis/ast_scan.hpp"
@@ -76,16 +74,6 @@ bool is_coherence_method(const std::string& name) {
     if (name == m) return true;
   }
   return false;
-}
-
-/// Run-time escape hatch for member stripping (PSF_VIG_STRIP=0); anything
-/// else — including unset — keeps the VigOptions::strip default in force.
-bool strip_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("PSF_VIG_STRIP");
-    return env == nullptr || std::string_view(env) != "0";
-  }();
-  return enabled;
 }
 
 // ---- default coherence handlers (VigOptions::auto_coherence) ----
@@ -292,7 +280,7 @@ util::Result<std::shared_ptr<ClassDef>> Vig::generate(
   // report and the drop cannot disagree. ----
   std::set<std::string> dead_methods;
   std::set<std::string> dead_fields;
-  if (options_.strip && strip_enabled()) {
+  if (options_.strip) {
     for (const std::string& entry : verdict.stripped) {
       if (entry.rfind("method ", 0) == 0) {
         dead_methods.insert(entry.substr(7));
@@ -481,51 +469,47 @@ util::Result<std::shared_ptr<ClassDef>> Vig::generate(
   registry_->register_class(view);
 
   // Generation-time lowering: compile every view method body now, so the
-  // first dispatch pays no compile latency and unsupported constructs are
-  // discovered (and journaled) at generation rather than mid-request. A
-  // method the compiler rejects simply stays on the tree-walker.
-  if (minilang::default_exec_mode() == minilang::ExecMode::kBytecode) {
-    // IC seeding: a deployment fact proving a member-call site monomorphic
-    // lets generation pre-fill the site's inline cache with the receiver
-    // class, so even the first dispatch skips the name-hash lookup. The
-    // VM's receiver guard keeps a stale or wrong fact harmless.
-    auto seed_caches = [&](const MethodDef& m,
-                           const minilang::CompiledMethod& code) {
-      if (options_.deployment_facts == nullptr || code.num_caches == 0) {
-        return;
-      }
-      for (const minilang::Insn& insn : code.code) {
-        if (insn.op != minilang::Op::kCallMember || insn.d == 0) continue;
-        const std::string& member = code.names[insn.b];
-        for (const analysis::CallSiteFact& fact : *options_.deployment_facts) {
-          if (!fact.monomorphic || fact.view != def.name ||
-              fact.method != m.name || fact.member != member) {
-            continue;
-          }
-          auto receiver = registry_->find_class(fact.receiver_class);
-          if (receiver == nullptr) break;
-          const MethodDef* target = receiver->find_method(member);
-          if (minilang::seed_inline_cache(code.caches[insn.d - 1],
-                                          std::move(receiver), target)) {
-            ++stats_.caches_seeded;
-          }
-          break;
+  // first dispatch pays no compile latency and a body past the bytecode's
+  // 16-bit limits refuses generation instead of failing mid-request.
+  //
+  // IC seeding: a deployment fact proving a member-call site monomorphic
+  // lets generation pre-fill the site's inline cache with the receiver
+  // class, so even the first dispatch skips the name-hash lookup. The VM's
+  // receiver guard keeps a stale or wrong fact harmless.
+  auto seed_caches = [&](const MethodDef& m,
+                         const minilang::CompiledMethod& code) {
+    if (options_.deployment_facts == nullptr || code.num_caches == 0) {
+      return;
+    }
+    for (const minilang::Insn& insn : code.code) {
+      if (insn.op != minilang::Op::kCallMember || insn.d == 0) continue;
+      const std::string& member = code.names[insn.b];
+      for (const analysis::CallSiteFact& fact : *options_.deployment_facts) {
+        if (!fact.monomorphic || fact.view != def.name ||
+            fact.method != m.name || fact.member != member) {
+          continue;
         }
+        auto receiver = registry_->find_class(fact.receiver_class);
+        if (receiver == nullptr) break;
+        const MethodDef* target = receiver->find_method(member);
+        if (minilang::seed_inline_cache(code.caches[insn.d - 1],
+                                        std::move(receiver), target)) {
+          ++stats_.caches_seeded;
+        }
+        break;
       }
-    };
-    for (const MethodDef& m : view->methods) {
-      if (m.is_native) continue;
-      if (const minilang::CompiledMethod* code =
-              minilang::ensure_compiled(*registry_, *view, m)) {
-        ++stats_.methods_compiled;
-        seed_caches(m, *code);
-      } else {
-        ++stats_.compile_fallbacks;
-        obs::journal::emit(obs::journal::Subsystem::kViews,
-                           obs::journal::kViBytecodeFallback,
-                           obs::journal::tag(def.name),
-                           obs::journal::tag(m.name));
-      }
+    }
+  };
+  for (const MethodDef& m : view->methods) {
+    if (m.is_native) continue;
+    try {
+      seed_caches(m, minilang::ensure_compiled(*registry_, view, m));
+      ++stats_.methods_compiled;
+    } catch (const minilang::EvalError& e) {
+      registry_->remove_class(view->name);
+      metrics.failures.inc();
+      return util::Result<std::shared_ptr<ClassDef>>::failure(
+          "vig", "cannot generate view '" + def.name + "': " + e.what());
     }
   }
 

@@ -54,7 +54,7 @@ struct VigOptions {
   /// Drop added members no exposed entry point can reach (the PSA035/PSA036
   /// set from analysis::compute_dead_members) so generated views stay as
   /// small as their restriction implies and coherence images shrink with
-  /// them. PSF_VIG_STRIP=0 disables at run time without a rebuild.
+  /// them. `false` keeps them (the ablation bench_table5_vig measures).
   bool strip = true;
   /// Monomorphism facts from a whole-deployment analysis
   /// (analysis::analyze_deployment). When set, generation seeds the inline
@@ -70,10 +70,8 @@ struct VigStats {
   std::size_t cache_hits = 0;
   /// Dead added members dropped across all generate() calls.
   std::size_t members_stripped = 0;
-  /// View methods lowered to bytecode at generation time, and those the
-  /// compiler could not handle (they stay on the tree-walker).
+  /// View methods lowered to bytecode at generation time.
   std::size_t methods_compiled = 0;
-  std::size_t compile_fallbacks = 0;
   /// Inline-cache slots pre-filled from deployment facts at generation time.
   std::size_t caches_seeded = 0;
 };

@@ -17,6 +17,7 @@
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
 #include "minilang/optimize.hpp"
+#include "oracle/tree_walker.hpp"
 #include "util/rng.hpp"
 #include "views/vig.hpp"
 
@@ -360,10 +361,6 @@ TEST(Deployment, DiagnosticsSortedByStableKey) {
 // ------------------------------------------------- VIG inline-cache seeding
 
 TEST(Deployment, VigSeedsInlineCachesFromFacts) {
-  if (minilang::default_exec_mode() != minilang::ExecMode::kBytecode) {
-    GTEST_SKIP() << "PSF_MINILANG_EXEC=interp disables generation-time "
-                    "compilation";
-  }
   if (!minilang::optimize_enabled()) {
     GTEST_SKIP() << "PSF_MINILANG_OPT=0 allocates no inline-cache slots, "
                     "so there is nothing to seed";
@@ -387,51 +384,36 @@ TEST(Deployment, VigSeedsInlineCachesFromFacts) {
   // hits, everything else falls back to the named slow path.
   auto view = minilang::instantiate(registry, cls.value()->name);
   auto client = minilang::instantiate(registry, "MailClient");
-  minilang::InterpOptions bytecode;
-  bytecode.exec = minilang::ExecMode::kBytecode;
-  const Value ok = minilang::invoke_method(
-      view, "relayAccount",
-      {Value::object(client), Value::string("dana"), Value::string("555"),
-       Value::string("dana@x")},
-      /*external=*/true, bytecode);
+  const Value ok = view->call(
+      "relayAccount", {Value::object(client), Value::string("dana"),
+                       Value::string("555"), Value::string("dana@x")});
   EXPECT_TRUE(ok.is_null());
-  EXPECT_EQ(minilang::invoke_method(client, "getPhone",
-                                    {Value::string("dana")},
-                                    /*external=*/true, bytecode)
+  EXPECT_EQ(client->call("getPhone", {Value::string("dana")})
                 .to_display_string(),
             "555");
 
   // Guard miss: a receiver of a different class (MailServer has no
-  // addAccount) gets the same error the interpreter raises.
+  // addAccount) gets the same error the reference interpreter raises.
   auto server = minilang::instantiate(registry, "MailServer");
-  std::string bytecode_error, interp_error;
+  const std::vector<Value> args = {Value::object(server), Value::string("x"),
+                                   Value::string("y"), Value::string("z")};
+  std::string vm_error, oracle_error;
   try {
-    minilang::invoke_method(view, "relayAccount",
-                            {Value::object(server), Value::string("x"),
-                             Value::string("y"), Value::string("z")},
-                            /*external=*/true, bytecode);
+    view->call("relayAccount", args);
   } catch (const minilang::EvalError& e) {
-    bytecode_error = e.what();
+    vm_error = e.what();
   }
-  minilang::InterpOptions interp;
-  interp.exec = minilang::ExecMode::kInterp;
   try {
-    minilang::invoke_method(view, "relayAccount",
-                            {Value::object(server), Value::string("x"),
-                             Value::string("y"), Value::string("z")},
-                            /*external=*/true, interp);
+    minilang::oracle::invoke_method(view, "relayAccount", args,
+                                    /*external=*/true);
   } catch (const minilang::EvalError& e) {
-    interp_error = e.what();
+    oracle_error = e.what();
   }
-  EXPECT_FALSE(bytecode_error.empty());
-  EXPECT_EQ(bytecode_error, interp_error);
+  EXPECT_FALSE(vm_error.empty());
+  EXPECT_EQ(vm_error, oracle_error);
 }
 
 TEST(Deployment, SeedingRefusesFactsTheClassCannotBack) {
-  if (minilang::default_exec_mode() != minilang::ExecMode::kBytecode) {
-    GTEST_SKIP() << "PSF_MINILANG_EXEC=interp disables generation-time "
-                    "compilation";
-  }
   minilang::ClassRegistry registry;
   mail::register_all(registry);
   // A wrong fact: claims the addAccount site resolves on MailServer, which
@@ -448,13 +430,9 @@ TEST(Deployment, SeedingRefusesFactsTheClassCannotBack) {
 
   auto view = minilang::instantiate(registry, cls.value()->name);
   auto client = minilang::instantiate(registry, "MailClient");
-  minilang::InterpOptions bytecode;
-  bytecode.exec = minilang::ExecMode::kBytecode;
-  const Value ok = minilang::invoke_method(
-      view, "relayAccount",
-      {Value::object(client), Value::string("eve"), Value::string("111"),
-       Value::string("eve@x")},
-      /*external=*/true, bytecode);
+  const Value ok = view->call(
+      "relayAccount", {Value::object(client), Value::string("eve"),
+                       Value::string("111"), Value::string("eve@x")});
   EXPECT_TRUE(ok.is_null());
 }
 

@@ -93,9 +93,8 @@ void check_golden(const std::string& name, const char* opt,
   ASSERT_NE(cls, nullptr);
   const MethodDef* def = cls->find_method(method);
   ASSERT_NE(def, nullptr);
-  const CompiledMethod* code = ensure_compiled(*registry, *cls, *def);
-  ASSERT_NE(code, nullptr) << method << " failed to compile";
-  const std::string listing = disassemble(*code);
+  const std::string listing =
+      disassemble(ensure_compiled(*registry, cls, *def));
   const std::string path = golden_path(name);
   if (g_update_golden) {
     std::ofstream out(path, std::ios::trunc);

@@ -35,7 +35,7 @@ bool eventually(Pred pred) {
 // ------------------------------------------------------------------ Poller
 
 TEST(Poller, CreateHonorsAvailability) {
-  auto poller = Poller::create(poller_kind_from_env());
+  auto poller = Poller::create(kDefaultPoller);
   ASSERT_NE(poller, nullptr);
   EXPECT_TRUE(poller_available(poller->kind()));
   // poll(2) must exist everywhere: it is the portable floor.
@@ -338,9 +338,11 @@ TEST(EventLoop, UnindexedLoopExportsNoPerWorkerGauges) {
 }
 
 TEST(EventLoop, EnvSelectsPoller) {
-  // Unknown values degrade to the platform default instead of aborting.
-  const PollerKind kind = poller_kind_from_env();
-  EXPECT_TRUE(poller_available(kind));
+  // The environment does not select the poller: a loop built without an
+  // explicit kind gets the platform default, which must exist.
+  EXPECT_TRUE(poller_available(kDefaultPoller));
+  EventLoop loop;
+  EXPECT_EQ(loop.poller_kind(), kDefaultPoller);
 }
 
 }  // namespace

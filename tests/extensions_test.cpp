@@ -1,10 +1,7 @@
-// Tests for the extension features: the credential wire format, the
-// threaded heartbeat driver, and the policy translation bridge (the paper's
-// §6 future-work item), plus fuzz suites over every external input surface.
+// Tests for the extension features: the credential wire format and the
+// policy translation bridge (the paper's §6 future-work item), plus fuzz
+// suites over every external input surface.
 #include <gtest/gtest.h>
-
-#include <chrono>
-#include <thread>
 
 #include "drbac/credential.hpp"
 #include "mail/components.hpp"
@@ -13,7 +10,8 @@
 #include "minilang/parser.hpp"
 #include "psf/policy_bridge.hpp"
 #include "switchboard/authorizer.hpp"
-#include "switchboard/heartbeat.hpp"
+#include "switchboard/channel.hpp"
+#include "switchboard/network.hpp"
 #include "util/rng.hpp"
 #include "views/vig.hpp"
 #include "xml/xml.hpp"
@@ -230,7 +228,7 @@ TEST(RepositorySync, FuzzMergeNeverCrashes) {
   }
 }
 
-// --------------------------------------------------------- heartbeat driver
+// --------------------------------------------------------- channel fixture
 
 struct ChannelWorld {
   util::Rng rng{2025};
@@ -258,40 +256,6 @@ struct ChannelWorld {
     return a.connect(b, suite, rng).value();
   }
 };
-
-TEST(HeartbeatDriver, BeatsUntilStopped) {
-  ChannelWorld w;
-  auto conn = w.connect();
-  switchboard::HeartbeatDriver driver(conn, std::chrono::milliseconds(5));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  driver.stop();
-  EXPECT_GT(driver.beats(), 2u);
-  EXPECT_GT(conn->stats().heartbeats, 0u);
-  EXPECT_TRUE(conn->open());
-}
-
-TEST(HeartbeatDriver, StopsWhenConnectionDies) {
-  ChannelWorld w;
-  auto conn = w.connect();
-  switchboard::HeartbeatDriver driver(conn, std::chrono::milliseconds(5));
-  w.net.disconnect("a", "b");
-  // The next beat notices liveness loss and the driver stops itself.
-  for (int i = 0; i < 100 && driver.running(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_FALSE(conn->open());
-  EXPECT_FALSE(driver.running());
-}
-
-TEST(HeartbeatDriver, DestructorJoinsCleanly) {
-  ChannelWorld w;
-  auto conn = w.connect();
-  {
-    switchboard::HeartbeatDriver driver(conn, std::chrono::milliseconds(1));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }  // destructor stops + joins; no crash, no leak under ASAN
-  SUCCEED();
-}
 
 // ------------------------------------------------------------ policy bridge
 

@@ -135,53 +135,76 @@ TEST(Parser, CloneProducesEqualStructure) {
 
 // ------------------------------------------------------------ Interpreter
 
+// An instance of a fresh class whose one method `go()` has `body`.
+std::shared_ptr<Instance> one_method(const std::string& body) {
+  static std::vector<std::shared_ptr<ClassRegistry>> keep_alive;
+  auto registry = std::make_shared<ClassRegistry>();
+  keep_alive.push_back(registry);
+  auto cls = std::make_shared<ClassDef>();
+  cls->name = "L";
+  MethodDef m;
+  m.name = "go";
+  m.source = body;
+  auto parsed = parse_block_source(body);
+  if (!parsed.ok()) throw std::runtime_error(parsed.error().message);
+  m.body = std::move(parsed).take();
+  cls->methods.push_back(std::move(m));
+  registry->register_class(cls);
+  return instantiate(*registry, "L");
+}
+
+// Evaluate `expr` on the production VM as the body `return <expr>;`.
+Value eval_expr(const std::string& expr) {
+  return one_method("return " + expr + ";")->call("go", {});
+}
+
 TEST(Interp, EvaluatesArithmetic) {
-  EXPECT_EQ(eval_standalone("1 + 2 * 3 - 4 / 2").as_int(), 5);
-  EXPECT_EQ(eval_standalone("10 % 3").as_int(), 1);
-  EXPECT_EQ(eval_standalone("-(3 + 4)").as_int(), -7);
+  EXPECT_EQ(eval_expr("1 + 2 * 3 - 4 / 2").as_int(), 5);
+  EXPECT_EQ(eval_expr("10 % 3").as_int(), 1);
+  EXPECT_EQ(eval_expr("-(3 + 4)").as_int(), -7);
 }
 
 TEST(Interp, EvaluatesComparisonsAndLogic) {
-  EXPECT_TRUE(eval_standalone("1 < 2 && 2 <= 2 && 3 > 2 && 3 >= 3").as_bool());
-  EXPECT_TRUE(eval_standalone("1 == 1 && 1 != 2").as_bool());
-  EXPECT_TRUE(eval_standalone("false || true").as_bool());
-  EXPECT_FALSE(eval_standalone("!true").as_bool());
+  EXPECT_TRUE(eval_expr("1 < 2 && 2 <= 2 && 3 > 2 && 3 >= 3").as_bool());
+  EXPECT_TRUE(eval_expr("1 == 1 && 1 != 2").as_bool());
+  EXPECT_TRUE(eval_expr("false || true").as_bool());
+  EXPECT_FALSE(eval_expr("!true").as_bool());
 }
 
 TEST(Interp, StringConcatenation) {
-  EXPECT_EQ(eval_standalone("\"a\" + \"b\" + 3").as_string(), "ab3");
+  EXPECT_EQ(eval_expr("\"a\" + \"b\" + 3").as_string(), "ab3");
 }
 
 TEST(Interp, StringComparison) {
-  EXPECT_TRUE(eval_standalone("\"abc\" < \"abd\"").as_bool());
+  EXPECT_TRUE(eval_expr("\"abc\" < \"abd\"").as_bool());
 }
 
 TEST(Interp, DivisionByZeroThrows) {
-  EXPECT_THROW(eval_standalone("1 / 0"), EvalError);
-  EXPECT_THROW(eval_standalone("1 % 0"), EvalError);
+  EXPECT_THROW(eval_expr("1 / 0"), EvalError);
+  EXPECT_THROW(eval_expr("1 % 0"), EvalError);
 }
 
 TEST(Interp, BuiltinListOperations) {
-  EXPECT_EQ(eval_standalone("len(list(1, 2, 3))").as_int(), 3);
-  EXPECT_TRUE(eval_standalone("contains(list(1, 2, 3), 2)").as_bool());
-  EXPECT_FALSE(eval_standalone("contains(list(1, 2, 3), 9)").as_bool());
+  EXPECT_EQ(eval_expr("len(list(1, 2, 3))").as_int(), 3);
+  EXPECT_TRUE(eval_expr("contains(list(1, 2, 3), 2)").as_bool());
+  EXPECT_FALSE(eval_expr("contains(list(1, 2, 3), 9)").as_bool());
 }
 
 TEST(Interp, BuiltinStringOperations) {
-  EXPECT_EQ(eval_standalone("substr(\"hello\", 1, 3)").as_string(), "ell");
-  EXPECT_TRUE(eval_standalone("contains(\"hello\", \"ell\")").as_bool());
-  EXPECT_EQ(eval_standalone("str(42)").as_string(), "42");
+  EXPECT_EQ(eval_expr("substr(\"hello\", 1, 3)").as_string(), "ell");
+  EXPECT_TRUE(eval_expr("contains(\"hello\", \"ell\")").as_bool());
+  EXPECT_EQ(eval_expr("str(42)").as_string(), "42");
 }
 
 TEST(Interp, BuiltinBytesRoundTrip) {
-  EXPECT_EQ(eval_standalone("text(bytes(\"data\"))").as_string(), "data");
-  EXPECT_EQ(eval_standalone("len(bytes(\"data\"))").as_int(), 4);
+  EXPECT_EQ(eval_expr("text(bytes(\"data\"))").as_string(), "data");
+  EXPECT_EQ(eval_expr("len(bytes(\"data\"))").as_int(), 4);
 }
 
 TEST(Interp, BuiltinMinMaxAbs) {
-  EXPECT_EQ(eval_standalone("min(3, 5)").as_int(), 3);
-  EXPECT_EQ(eval_standalone("max(3, 5)").as_int(), 5);
-  EXPECT_EQ(eval_standalone("abs(0 - 9)").as_int(), 9);
+  EXPECT_EQ(eval_expr("min(3, 5)").as_int(), 3);
+  EXPECT_EQ(eval_expr("max(3, 5)").as_int(), 5);
+  EXPECT_EQ(eval_expr("abs(0 - 9)").as_int(), 9);
 }
 
 // Builds a small class for object tests:
@@ -446,23 +469,6 @@ TEST(Interp, ObjectsPassedBetweenInstances) {
 
 // -------------------------------------------------- for / break / continue
 
-std::shared_ptr<Instance> one_method(const std::string& body) {
-  static std::vector<std::shared_ptr<ClassRegistry>> keep_alive;
-  auto registry = std::make_shared<ClassRegistry>();
-  keep_alive.push_back(registry);
-  auto cls = std::make_shared<ClassDef>();
-  cls->name = "L";
-  MethodDef m;
-  m.name = "go";
-  m.source = body;
-  auto parsed = parse_block_source(body);
-  if (!parsed.ok()) throw std::runtime_error(parsed.error().message);
-  m.body = std::move(parsed).take();
-  cls->methods.push_back(std::move(m));
-  registry->register_class(cls);
-  return instantiate(*registry, "L");
-}
-
 TEST(Loops, ForLoopSums) {
   auto obj = one_method(
       "var acc = 0; for (var i = 1; i <= 10; i = i + 1) { acc = acc + i; } "
@@ -526,7 +532,7 @@ TEST(Loops, ForParseErrors) {
 }
 
 TEST(Interp, StandaloneUnknownFunctionThrows) {
-  EXPECT_THROW(eval_standalone("nosuchfn(1)"), EvalError);
+  EXPECT_THROW(eval_expr("nosuchfn(1)"), EvalError);
 }
 
 TEST(Interp, BuiltinNamesNonEmptyAndContainCore) {

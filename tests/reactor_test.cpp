@@ -556,7 +556,7 @@ TEST(Reactor, ThreadCountStaysBoundedByWorkers) {
   EXPECT_EQ(with_reactor, base + 2) << "one OS thread per worker";
 
   // 32 sessions + heartbeat monitoring: zero additional threads — the whole
-  // point of replacing thread-per-connection + HeartbeatDriver.
+  // point of replacing thread-per-connection sessions and heartbeats.
   std::vector<std::shared_ptr<EventChannel>> channels;
   for (int i = 0; i < 32; ++i) {
     auto pair = make_memory_conduit_pair();
@@ -582,15 +582,6 @@ TEST(Reactor, ThreadCountStaysBoundedByWorkers) {
   heartbeats.cancel();
   reactor.stop();
   EXPECT_LE(count_os_threads(), base) << "stop() joins the workers";
-}
-
-// ----------------------------------------------------------------- selector
-
-TEST(Transport, EnvSelector) {
-  EXPECT_STREQ(to_string(TransportKind::kEventLoop), "event");
-  EXPECT_STREQ(to_string(TransportKind::kThreadPerConnection), "threads");
-  // Default (unset or unknown) is the event core.
-  EXPECT_EQ(transport_from_env(), TransportKind::kEventLoop);
 }
 
 }  // namespace

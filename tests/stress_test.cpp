@@ -1,6 +1,7 @@
 // Concurrency and soak tests: the repository under concurrent
 // add/prove/revoke, channels under concurrent callers (already covered in
-// switchboard_test), and a multi-client soak over the full framework.
+// switchboard_test), MiniLang's per-class compile cache under concurrent
+// first calls, and a multi-client soak over the full framework.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -8,6 +9,9 @@
 
 #include "drbac/engine.hpp"
 #include "mail/scenario.hpp"
+#include "minilang/interp.hpp"
+#include "minilang/parser.hpp"
+#include "obs/metrics.hpp"
 #include "psf/framework.hpp"
 
 namespace psf {
@@ -84,6 +88,60 @@ TEST(RepositoryStress, ConcurrentAddProveRevoke) {
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(errors.load(), 0);
   EXPECT_GT(proofs.load(), 0);
+}
+
+TEST(MiniLangStress, ConcurrentFirstCallsCompileOncePerClass) {
+  // Base.get runs on Base and on three subclasses with different field
+  // layouts; threads race their first calls on every class at once.
+  minilang::ClassRegistry registry;
+  auto add = [&](const std::string& name, const std::string& super,
+                 std::vector<std::string> fields) {
+    auto cls = std::make_shared<minilang::ClassDef>();
+    cls->name = name;
+    cls->super_name = super;
+    for (const auto& f : fields) {
+      cls->fields.push_back({f, "int", Value::integer(1)});
+    }
+    if (super.empty()) {
+      minilang::MethodDef get;
+      get.name = "get";
+      get.source = "return f;";
+      get.body = std::move(minilang::parse_block_source(get.source)).take();
+      cls->methods.push_back(std::move(get));
+    }
+    registry.register_class(cls);
+  };
+  add("Base", "", {"f"});
+  add("SubA", "Base", {"a"});
+  add("SubB", "Base", {"a", "b"});
+  add("SubC", "Base", {"g", "h", "i"});
+  const std::vector<std::string> classes = {"Base", "SubA", "SubB", "SubC"};
+
+  auto& compiled = obs::counter("psf.minilang.methods_compiled");
+  const std::uint64_t before = compiled.value();
+  std::atomic<int> ready{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::shared_ptr<minilang::Instance>> objects;
+      for (const auto& name : classes) {
+        auto obj = minilang::instantiate(registry, name);
+        obj->set_field("f", Value::integer(t));
+        objects.push_back(obj);
+      }
+      ready.fetch_add(1);
+      while (ready.load() < 4) std::this_thread::yield();
+      for (int i = 0; i < 200; ++i) {
+        for (const auto& obj : objects) {
+          if (obj->call("get", {}).as_int() != t) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(compiled.value() - before, classes.size());
 }
 
 TEST(FrameworkSoak, ManyClientsAcrossSitesStayConsistent) {
