@@ -382,12 +382,21 @@ void reproduce_event_core(
   for (std::size_t step = 0; step < ramp.size(); ++step) {
     const long clients = ramp[step];
     const long requests = clients * kRequestsPerClient;
+    const std::size_t sessions_before = sessions.size();
+    const long rss_before_kb = bench::current_rss_kb();
     const auto grow_start = std::chrono::steady_clock::now();
     grow_sessions(clients);
     const double grow_secs =
         std::chrono::duration_cast<std::chrono::duration<double>>(
             std::chrono::steady_clock::now() - grow_start)
             .count();
+    // Resident memory each session added (both ends, established, idle).
+    const std::size_t added = sessions.size() - sessions_before;
+    const double rss_per_session_kb =
+        added > 0 && rss_before_kb >= 0
+            ? static_cast<double>(bench::current_rss_kb() - rss_before_kb) /
+                  static_cast<double>(added)
+            : 0.0;
 
     // Same adaptive-overflow discipline as the thread-core ramp: journal
     // emits land on kWorkers loop threads, so project the per-thread ring
@@ -427,6 +436,8 @@ void reproduce_event_core(
                requests);
     report.add(tag + ".loop_lag_p99_us", static_cast<double>(lag_p99), "us",
                requests);
+    report.add(tag + ".rss_per_session_kb", rss_per_session_kb, "KiB",
+               static_cast<long>(added));
     const std::size_t drained = obs::journal::drain().size();
     obs::journal::reset();
 
@@ -434,6 +445,7 @@ void reproduce_event_core(
               << " requests, +" << static_cast<long>(grow_secs * 1000)
               << " ms setup): p50 " << p50 << " us, p99 " << p99 << " us, "
               << "loop lag p99 " << lag_p99 << " us, "
+              << rss_per_session_kb << " KiB/session, "
               << static_cast<long>(rps) << " req/s, " << threads_now
               << " OS threads, journal drained " << drained << "\n";
 

@@ -38,6 +38,19 @@ inline int iterations(int full, int smoke = 3) {
   return smoke_mode() ? smoke : full;
 }
 
+/// Resident set size of this process in KiB (VmRSS from /proc/self/status);
+/// -1 where unavailable.
+inline long current_rss_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtol(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return -1;
+}
+
 /// Average wall-clock microseconds per call of `fn` over `iters` calls.
 inline double time_us(int iters, const std::function<void()>& fn) {
   if (iters <= 0) return 0.0;

@@ -20,8 +20,27 @@ struct RepoMetrics {
 }  // namespace
 
 void Repository::add(DelegationPtr credential) {
-  RepoMetrics& metrics = RepoMetrics::get();
   std::lock_guard lock(mutex_);
+  add_locked(std::move(credential));
+}
+
+bool Repository::add_if_absent(DelegationPtr credential) {
+  std::lock_guard lock(mutex_);
+  auto it = by_subject_.find(subject_key(credential->subject));
+  if (it != by_subject_.end()) {
+    for (const auto& held : it->second) {
+      if (held == credential || (held->serial == credential->serial &&
+                                 held->signature == credential->signature)) {
+        return false;
+      }
+    }
+  }
+  add_locked(std::move(credential));
+  return true;
+}
+
+void Repository::add_locked(DelegationPtr credential) {
+  RepoMetrics& metrics = RepoMetrics::get();
   credentials_.push_back(credential);
   by_target_[target_key(credential->target)].push_back(credential);
   by_subject_[subject_key(credential->subject)].push_back(credential);

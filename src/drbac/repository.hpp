@@ -32,6 +32,11 @@ class Repository {
  public:
   void add(DelegationPtr credential);
 
+  /// add() unless this exact credential (same serial and signature) is
+  /// already held; returns whether it was added. Collecting re-presented
+  /// credentials through this keeps the store and its epoch unchanged.
+  bool add_if_absent(DelegationPtr credential);
+
   /// Credentials granting rights *to* this role (directed by the object
   /// index; honors searchable_from_object unless tags are disabled).
   std::vector<DelegationPtr> by_target(const RoleRef& target,
@@ -94,6 +99,8 @@ class Repository {
   util::Result<MergeResult> merge_snapshot(const util::Bytes& snapshot);
 
  private:
+  void add_locked(DelegationPtr credential);
+
   static std::string target_key(const RoleRef& r) {
     return r.entity_fp + "." + r.role;
   }

@@ -53,6 +53,7 @@ void Node::release_cpu(std::int64_t amount) {
 // ---------------------------------------------------------- MonitorModule
 
 void MonitorModule::record(Event event) {
+  if (events_.size() == kMaxEvents) events_.pop_front();
   events_.push_back(event);
   for (const auto& callback : callbacks_) callback(event);
 }
@@ -303,9 +304,7 @@ util::Result<ClientSession> Psf::request_impl(const ClientRequest& request) {
   //    ACL (Table 4) — this is the single sign-on point.
   for (const auto& credential : request.credentials) {
     if (!drbac::verify_cached(*credential)) continue;
-    if (presented_credentials_.insert(credential->content_hash()).second) {
-      repository_.add(credential);
-    }
+    repository_.add_if_absent(credential);
   }
   auto decision = domain_guard->select_view(
       service.config.access_rules, service.config.default_view,
@@ -420,8 +419,11 @@ util::Result<ClientSession> Psf::request_impl(const ClientRequest& request) {
 
   // The deployment infrastructure issues the instantiated view its own
   // credentials (paper §2.1/§4.3).
-  domain_guard->grant(drbac::Principal::of_entity(service.view_identity),
-                      "Deployed", {}, now);
+  if (service.view_grant == nullptr ||
+      repository_.is_revoked(service.view_grant->serial)) {
+    service.view_grant = domain_guard->grant(
+        drbac::Principal::of_entity(service.view_identity), "Deployed", {}, now);
+  }
 
   ClientSession session;
   session.request = request;

@@ -9,11 +9,11 @@
 // lazily), issues it credentials, and connects it over secure channels.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -111,7 +111,8 @@ struct ClientSession {
 };
 
 /// Monitoring module (paper §2.1): tracks environment updates so existing
-/// deployments can be re-validated and adapted.
+/// deployments can be re-validated and adapted. Subscribers see every
+/// event; the module itself keeps only the most recent kMaxEvents.
 class MonitorModule {
  public:
   struct Event {
@@ -120,12 +121,14 @@ class MonitorModule {
     util::SimTime at;
   };
 
+  static constexpr std::size_t kMaxEvents = 1024;
+
   void record(Event event);
-  const std::vector<Event>& events() const { return events_; }
+  const std::deque<Event>& events() const { return events_; }
   void subscribe(std::function<void(const Event&)> callback);
 
  private:
-  std::vector<Event> events_;
+  std::deque<Event> events_;
   std::vector<std::function<void(const Event&)>> callbacks_;
 };
 
@@ -193,6 +196,10 @@ class Psf {
     drbac::Entity view_identity;      // code identity of client views
     drbac::Entity cipher_identity;    // code identity of Encryptor/Decryptor
     drbac::Entity provider_identity;  // channel identity of the service side
+    // The "Deployed" credential client views run under, issued on the first
+    // request and re-issued only once revoked: a fresh grant per request
+    // would grow the repository and bump its epoch on every adaptation.
+    drbac::DelegationPtr view_grant;
     // Replica reuse: provider node -> deployed replica instance.
     std::map<std::string, std::shared_ptr<minilang::Instance>> replicas;
   };
@@ -212,11 +219,6 @@ class Psf {
   std::map<std::string, std::unique_ptr<Node>> nodes_;
   std::map<std::string, ServiceRuntime> services_;
   std::vector<std::function<void(minilang::ClassRegistry&)>> registrars_;
-  // Content hashes of client-presented credentials already merged into the
-  // repository. Re-presenting the same credential (every reconnect does)
-  // must not re-add it: each add bumps the repository epoch and would evict
-  // the proof cache that makes repeated guard checks near-free.
-  std::set<std::string> presented_credentials_;
 };
 
 }  // namespace psf::framework

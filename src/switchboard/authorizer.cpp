@@ -42,9 +42,7 @@ util::Result<drbac::Proof> RoleAuthorizer::authorize(
           "presented credential has an invalid signature: " +
               credential->display());
     }
-    if (merged_serials_.insert(credential->serial).second) {
-      repository_->add(credential);
-    }
+    repository_->add_if_absent(credential);
   }
   drbac::Engine engine(repository_);
   drbac::ProveOptions options;

@@ -52,7 +52,6 @@ class RoleAuthorizer : public Authorizer {
   drbac::Repository* repository_;
   drbac::RoleRef required_role_;
   drbac::AttributeMap required_attributes_;
-  std::set<std::uint64_t> merged_serials_;
 };
 
 /// Accepts anyone (the "others" row of the paper's Table 4 — anonymous

@@ -46,6 +46,37 @@ crypto::ChaChaNonce nonce_for(int direction, std::uint64_t seq) {
 
 constexpr std::size_t kFrameOverhead = 8 /*seq*/ + 32 /*hmac*/;
 
+/// I/O scratch shared by every EventChannel on one loop thread.
+///
+/// Reentrancy rule: `read` is parsed in place for a whole dispatch batch, so
+/// no other dispatch on this thread may read into it until the batch ends
+/// (`reading`). Memory conduits always post() their readiness callback, so
+/// a dispatch never starts inside another; the one inline path — a channel
+/// registered from inside a handler — finds `reading` set and posts its
+/// first dispatch instead. `write` stages the messages of at most one
+/// channel (`write_owner`) between append and that channel's flush; the
+/// owner's flush or close always empties it before returning to the loop.
+struct LoopScratch {
+  std::unique_ptr<std::uint8_t[]> read =
+      std::make_unique_for_overwrite<std::uint8_t[]>(EventChannel::kReadChunk);
+  bool reading = false;
+  util::Bytes write;
+  const EventChannel* write_owner = nullptr;
+};
+
+LoopScratch& loop_scratch() {
+  thread_local LoopScratch scratch;
+  return scratch;
+}
+
+std::uint32_t load_u32_be(const std::uint8_t* p) {
+  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
+         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+}
+
+/// Swap in an empty buffer so the capacity goes back to the allocator.
+void release(util::Bytes& buf) { util::Bytes().swap(buf); }
+
 struct ReactorMetrics {
   static ReactorMetrics& get() {
     static ReactorMetrics metrics;
@@ -163,7 +194,7 @@ class MemoryConduit final : public Conduit {
       std::memcpy(buf, in_->buf.data() + in_->head, n);
       in_->head += n;
       if (in_->head == in_->buf.size()) {
-        in_->buf.clear();
+        release(in_->buf);  // drained: hold no high-water capacity
         in_->head = 0;
       } else if (in_->head > (64u << 10)) {
         in_->buf.erase(in_->buf.begin(),
@@ -398,71 +429,103 @@ void EventChannel::send_data_frame(const util::Bytes& plain) {
 
 void EventChannel::append_message(std::uint8_t type, const std::uint8_t* frame,
                                   std::size_t len) {
+  if (state_.load() == State::kClosed) return;
+  // Stage in the loop's write scratch while this session has no backlog and
+  // no other channel is mid-batch there; flush() then hands the staged batch
+  // to the conduit and keeps only what it refuses. Otherwise append behind
+  // the backlog so bytes leave in order.
+  LoopScratch& scratch = loop_scratch();
+  util::Bytes* out = &write_buf_;
+  if (write_buf_.empty() &&
+      (scratch.write_owner == nullptr || scratch.write_owner == this)) {
+    scratch.write_owner = this;
+    out = &scratch.write;
+  }
   // u32_be length | u8 type | [u64_be session_id] | sealed frame
   const bool with_session = type == kHello || type == kWelcome;
   const std::size_t body = 1 + (with_session ? 8 : 0) + len;
-  util::put_u32_be(write_buf_, static_cast<std::uint32_t>(body));
-  write_buf_.push_back(type);
-  if (with_session) util::put_u64_be(write_buf_, session_id_);
-  write_buf_.insert(write_buf_.end(), frame, frame + len);
+  util::put_u32_be(*out, static_cast<std::uint32_t>(body));
+  out->push_back(type);
+  if (with_session) util::put_u64_be(*out, session_id_);
+  out->insert(out->end(), frame, frame + len);
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   ReactorMetrics::get().session_frames.inc();
+}
+
+void EventChannel::post_readable() {
+  std::weak_ptr<EventChannel> weak = weak_from_this();
+  loop_.post([weak] {
+    if (auto self = weak.lock()) self->on_readable();
+  });
 }
 
 void EventChannel::on_readable() {
   loop_.assert_in_loop();
   if (state_.load() == State::kClosed) return;
-  // Drain the conduit into the read buffer (bounded chunks, until
-  // would-block), then parse and dispatch complete messages as one batch.
-  constexpr std::size_t kChunk = 16u << 10;
-  for (;;) {
-    const std::size_t old = read_buf_.size();
-    read_buf_.resize(old + kChunk);
-    const std::size_t n = conduit_->read_some(read_buf_.data() + old, kChunk);
-    read_buf_.resize(old + n);
-    if (n == 0) break;
-    bytes_in_.fetch_add(n, std::memory_order_relaxed);
-    ReactorMetrics::get().session_bytes.inc(n);
+  LoopScratch& scratch = loop_scratch();
+  if (scratch.reading) {
+    post_readable();  // another batch on this thread is parsing the scratch
+    return;
   }
+  // Read the conduit one chunk at a time into the loop's scratch and
+  // dispatch complete frames straight from it; only a partial tail, or the
+  // frames a full batch leaves, is copied into read_buf_.
+  std::size_t handled = 0;
+  bool closed = false;
   {
     // One span per dispatch batch (not per frame): unseal + parse + handler
     // all run inside it, so sampling profiles attribute event-core CPU to
     // switchboard.dispatch rather than to a bare loop-thread root.
     obs::ScopedSpan span("switchboard.dispatch");
-    process_read_buffer();
-  }
-  if (state_.load() == State::kClosed) return;
-  flush();
-  if (conduit_->peer_closed() && read_buf_.size() == read_pos_) {
-    close_on_loop(state_.load() == State::kDraining ? "drained" : "peer eof");
-  }
-}
-
-void EventChannel::process_read_buffer() {
-  std::size_t handled = 0;
-  while (handled < max_batch_frames_) {
-    const std::size_t avail = read_buf_.size() - read_pos_;
-    if (avail < 4) break;
-    const std::uint32_t body_len = util::get_u32_be(read_buf_, read_pos_);
-    if (body_len == 0 || body_len > kMaxMessage) {
-      close_on_loop("corrupt length prefix");
-      return;
+    scratch.reading = true;
+    // Frames a yielded batch left behind go first.
+    if (!read_buf_.empty()) {
+      const std::size_t used =
+          dispatch_frames(read_buf_.data(), read_buf_.size(), handled);
+      closed = state_.load() == State::kClosed;
+      if (!closed) {
+        read_buf_.erase(read_buf_.begin(),
+                        read_buf_.begin() + static_cast<std::ptrdiff_t>(used));
+      }
     }
-    if (avail < 4 + static_cast<std::size_t>(body_len)) break;
-    const std::uint8_t* body = read_buf_.data() + read_pos_ + 4;
-    read_pos_ += 4 + body_len;
-    ++handled;
-    frames_in_.fetch_add(1, std::memory_order_relaxed);
-    if (!handle_message(body[0], body + 1, body_len - 1)) return;
-  }
-  // Compact consumed prefix once per batch, not per frame.
-  if (read_pos_ == read_buf_.size()) {
-    read_buf_.clear();
-    read_pos_ = 0;
-  } else if (read_pos_ > (256u << 10)) {
-    read_buf_.erase(read_buf_.begin(),
-                    read_buf_.begin() + static_cast<std::ptrdiff_t>(read_pos_));
-    read_pos_ = 0;
+    while (!closed && handled < max_batch_frames_) {
+      const std::size_t n = conduit_->read_some(scratch.read.get(), kReadChunk);
+      if (n == 0) break;
+      bytes_in_.fetch_add(n, std::memory_order_relaxed);
+      ReactorMetrics::get().session_bytes.inc(n);
+      const std::uint8_t* data = scratch.read.get();
+      std::size_t len = n;
+      if (!read_buf_.empty()) {
+        // A partial frame is pending: copy only the bytes that complete it
+        // (its length prefix first, then its body).
+        const auto top_up = [&](std::size_t want) {
+          const std::size_t take = std::min(want - read_buf_.size(), len);
+          read_buf_.insert(read_buf_.end(), data, data + take);
+          data += take;
+          len -= take;
+        };
+        if (read_buf_.size() < 4) top_up(4);
+        if (read_buf_.size() >= 4) {
+          const std::uint32_t body_len = load_u32_be(read_buf_.data());
+          if (body_len != 0 && body_len <= kMaxMessage) {
+            const std::size_t total = 4 + static_cast<std::size_t>(body_len);
+            read_buf_.reserve(total);
+            top_up(total);
+          }
+        }
+        const std::size_t used =
+            dispatch_frames(read_buf_.data(), read_buf_.size(), handled);
+        closed = state_.load() == State::kClosed;
+        if (closed) break;
+        if (used == 0) continue;  // still partial; the chunk is used up
+        read_buf_.clear();
+      }
+      const std::size_t used = dispatch_frames(data, len, handled);
+      closed = state_.load() == State::kClosed;
+      if (closed) break;
+      read_buf_.assign(data + used, data + len);
+    }
+    scratch.reading = false;
   }
   if (handled > 0) {
     batches_.fetch_add(1, std::memory_order_relaxed);
@@ -473,14 +536,46 @@ void EventChannel::process_read_buffer() {
     ReactorMetrics::get().batch_frames.observe(
         static_cast<std::int64_t>(handled));
   }
-  // Frames beyond the batch bound stay buffered; re-arm fairness by
-  // yielding the loop and continuing in a fresh dispatch.
-  if (handled == max_batch_frames_ && read_buf_.size() - read_pos_ >= 4) {
-    std::weak_ptr<EventChannel> weak = weak_from_this();
-    loop_.post([weak] {
-      if (auto self = weak.lock()) self->on_readable();
-    });
+  if (closed) return;
+  const bool yielded = handled == max_batch_frames_;
+  if (read_buf_.empty()) release(read_buf_);
+  flush();
+  if (state_.load() == State::kClosed) return;
+  if (yielded) {
+    // Frames beyond the batch bound wait in read_buf_ or the conduit; yield
+    // the loop for fairness and continue in a fresh dispatch.
+    post_readable();
+  } else if (conduit_->peer_closed()) {
+    close_on_loop(!read_buf_.empty() ? "peer eof mid-frame"
+                  : state_.load() == State::kDraining ? "drained"
+                                                      : "peer eof");
   }
+  note_buffers();
+}
+
+std::size_t EventChannel::dispatch_frames(const std::uint8_t* data,
+                                          std::size_t len,
+                                          std::size_t& handled) {
+  std::size_t pos = 0;
+  while (handled < max_batch_frames_ && len - pos >= 4) {
+    const std::uint32_t body_len = load_u32_be(data + pos);
+    if (body_len == 0 || body_len > kMaxMessage) {
+      close_on_loop("corrupt length prefix");
+      return pos;
+    }
+    if (len - pos < 4 + static_cast<std::size_t>(body_len)) break;
+    const std::uint8_t* body = data + pos + 4;
+    pos += 4 + body_len;
+    ++handled;
+    frames_in_.fetch_add(1, std::memory_order_relaxed);
+    // A handler may close this channel (and release read_buf_, which `data`
+    // can point into): stop touching the bytes as soon as it is closed.
+    if (!handle_message(body[0], body + 1, body_len - 1) ||
+        state_.load() == State::kClosed) {
+      return pos;
+    }
+  }
+  return pos;
 }
 
 bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
@@ -568,13 +663,11 @@ bool EventChannel::handle_message(std::uint8_t type, const std::uint8_t* body,
         handler_(plain, response);
         send_data_frame(response);
       } else {
-        if (pending_.empty()) {
+        if (pending_head_ == pending_.size()) {
           close_on_loop("unsolicited response");
           return false;
         }
-        ResponseCallback callback = std::move(pending_.front());
-        pending_.pop_front();
-        callback(util::Result<util::Bytes>(util::Bytes(plain)));
+        pop_pending()(util::Result<util::Bytes>(util::Bytes(plain)));
       }
       return true;
     }
@@ -652,38 +745,83 @@ void EventChannel::close() {
 void EventChannel::flush() {
   loop_.assert_in_loop();
   if (state_.load() == State::kClosed) return;
-  while (write_pos_ < write_buf_.size()) {
-    const std::size_t n = conduit_->write_some(write_buf_.data() + write_pos_,
-                                               write_buf_.size() - write_pos_);
-    if (n == 0) {
-      if (conduit_->peer_closed()) {
-        close_on_loop("write to closed peer");
-        return;
-      }
-      // Transport backlog: arm writability and resume from the poller.
-      if (conduit_->fd() >= 0 && !want_write_armed_) {
-        loop_.mod_fd(conduit_->fd(), true, true);
-        want_write_armed_ = true;
-      }
-      return;
-    }
+  LoopScratch& scratch = loop_scratch();
+  if (scratch.write_owner == this) {
+    // The staged batch goes straight to the conduit; only the part it
+    // refuses is copied into write_buf_ (empty while staging). Ownership
+    // is kept until the copy, so nothing else stages over these bytes;
+    // a close inside write_out() has already emptied the scratch.
+    const std::size_t n = write_out(scratch.write.data(), scratch.write.size());
+    if (state_.load() == State::kClosed) return;
+    write_buf_.assign(scratch.write.begin() + static_cast<std::ptrdiff_t>(n),
+                      scratch.write.end());
+    scratch.write.clear();
+    scratch.write_owner = nullptr;
+  } else {
+    const std::size_t n = write_out(write_buf_.data() + write_pos_,
+                                    write_buf_.size() - write_pos_);
+    if (state_.load() == State::kClosed) return;
     write_pos_ += n;
-    bytes_out_.fetch_add(n, std::memory_order_relaxed);
-    ReactorMetrics::get().session_bytes.inc(n);
   }
-  write_buf_.clear();
+  if (write_pos_ < write_buf_.size()) {
+    // Transport backlog: arm writability and resume from the poller.
+    if (conduit_->fd() >= 0 && !want_write_armed_) {
+      loop_.mod_fd(conduit_->fd(), true, true);
+      want_write_armed_ = true;
+    }
+    note_buffers();
+    return;
+  }
+  release(write_buf_);
   write_pos_ = 0;
   if (want_write_armed_) {
     loop_.mod_fd(conduit_->fd(), true, false);
     want_write_armed_ = false;
   }
+  note_buffers();
   maybe_finish_drain();
 }
 
+std::size_t EventChannel::write_out(const std::uint8_t* data, std::size_t len) {
+  std::size_t done = 0;
+  while (done < len) {
+    const std::size_t n = conduit_->write_some(data + done, len - done);
+    if (n == 0) {
+      if (conduit_->peer_closed()) close_on_loop("write to closed peer");
+      break;
+    }
+    done += n;
+  }
+  if (done > 0) {
+    bytes_out_.fetch_add(done, std::memory_order_relaxed);
+    ReactorMetrics::get().session_bytes.inc(done);
+  }
+  return done;
+}
+
+void EventChannel::note_buffers() {
+  buffer_bytes_.store(read_buf_.capacity() + write_buf_.capacity(),
+                      std::memory_order_relaxed);
+}
+
 void EventChannel::maybe_finish_drain() {
-  if (state_.load() == State::kDraining && write_pos_ >= write_buf_.size()) {
+  if (state_.load() == State::kDraining && write_pos_ >= write_buf_.size() &&
+      loop_scratch().write_owner != this) {
     close_on_loop("drained");
   }
+}
+
+EventChannel::ResponseCallback EventChannel::pop_pending() {
+  ResponseCallback callback = std::move(pending_[pending_head_++]);
+  if (pending_head_ == pending_.size()) {
+    pending_.clear();
+    pending_head_ = 0;
+  } else if (pending_head_ >= 32 && 2 * pending_head_ >= pending_.size()) {
+    pending_.erase(pending_.begin(),
+                   pending_.begin() + static_cast<std::ptrdiff_t>(pending_head_));
+    pending_head_ = 0;
+  }
+  return callback;
 }
 
 void EventChannel::fail_pending(const std::string& reason) {
@@ -692,10 +830,8 @@ void EventChannel::fail_pending(const std::string& reason) {
     callback(util::Result<util::Bytes>::failure("closed", reason));
   }
   queued_submits_.clear();
-  while (!pending_.empty()) {
-    ResponseCallback callback = std::move(pending_.front());
-    pending_.pop_front();
-    callback(util::Result<util::Bytes>::failure("closed", reason));
+  while (pending_head_ < pending_.size()) {
+    pop_pending()(util::Result<util::Bytes>::failure("closed", reason));
   }
 }
 
@@ -705,6 +841,17 @@ void EventChannel::close_on_loop(const std::string& reason) {
   state_.store(State::kClosed);
   if (conduit_->fd() >= 0) loop_.del_fd(conduit_->fd());
   conduit_->close();
+  // A closed channel sends and parses nothing more: drop its staged and
+  // buffered bytes. Callers stop touching buffer memory once closed.
+  LoopScratch& scratch = loop_scratch();
+  if (scratch.write_owner == this) {
+    scratch.write.clear();
+    scratch.write_owner = nullptr;
+  }
+  release(read_buf_);
+  release(write_buf_);
+  write_pos_ = 0;
+  note_buffers();
   fail_pending(reason);
   ReactorMetrics::get().sessions_closed.inc();
 }
@@ -717,6 +864,7 @@ EventChannel::Stats EventChannel::stats() const {
   stats.bytes_out = bytes_out_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.max_batch = max_batch_.load(std::memory_order_relaxed);
+  stats.buffer_bytes = buffer_bytes_.load(std::memory_order_relaxed);
   return stats;
 }
 

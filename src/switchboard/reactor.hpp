@@ -27,11 +27,16 @@
 //                                                                      │
 //                                                                   kClosed
 //
-// Batching rules: one readiness dispatch drains the conduit into the read
-// buffer (bounded by max_batch_frames), unseals and dispatches every
-// complete frame, seals all responses into one write buffer, and flushes
-// with a single write — so a burst of B requests costs O(1) syscalls/wakes,
-// not O(B).
+// Batching rules: one readiness dispatch reads the conduit chunk by chunk,
+// unseals and dispatches every complete frame (bounded by max_batch_frames),
+// seals all responses into one staged write, and flushes it with a single
+// write — so a burst of B requests costs O(1) syscalls/wakes, not O(B).
+//
+// Buffer ownership: the read chunk and the staged write are per-loop-thread
+// scratch shared by every channel on the worker. A channel's own buffers
+// hold only what cannot be handled now — a partial frame, frames left over
+// when a batch yields, bytes the conduit refused — and are released once
+// drained, so an idle session owns no I/O buffer capacity.
 //
 // The synchronous Connection path remains (the paper's experiments and the
 // cold path run on it); the same request bytes produce byte-identical
@@ -41,7 +46,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -103,7 +107,9 @@ struct ConduitPair {
 /// unique_ptrs when the fd budget is exhausted.
 ConduitPair make_socket_conduit_pair();
 
-/// In-process ring pipe; never blocks, grows on demand.
+/// In-process pipe; never blocks, grows on demand and releases its buffer
+/// once the reader drains it. Readiness is always post()ed to the reader's
+/// loop, never delivered inline from the writer.
 ConduitPair make_memory_conduit_pair();
 
 // ----------------------------------------------------------- session crypto
@@ -145,6 +151,9 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   enum class State { kHandshaking, kEstablished, kDraining, kClosed };
   enum class Role { kServer, kClient };
 
+  /// Bytes per conduit read: the size of the per-loop read scratch.
+  static constexpr std::size_t kReadChunk = 16u << 10;
+
   /// Server-side request hook: decode `request_plain`, produce
   /// `response_plain`. Runs on the loop thread; must not block.
   using RequestHandler =
@@ -161,6 +170,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
     std::uint64_t bytes_out = 0;
     std::uint64_t batches = 0;      // readiness dispatches that moved data
     std::uint64_t max_batch = 0;    // most frames handled in one dispatch
+    std::uint64_t buffer_bytes = 0; // read + write buffer capacity held now
   };
 
   /// Build the server end. The channel registers with `loop` asynchronously;
@@ -212,8 +222,10 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
 
   // Loop-thread internals.
   void register_with_loop();
+  void post_readable();
   void on_readable();
-  void process_read_buffer();
+  std::size_t dispatch_frames(const std::uint8_t* data, std::size_t len,
+                              std::size_t& handled);
   bool handle_message(std::uint8_t type, const std::uint8_t* body,
                       std::size_t len);
   void send_hello();
@@ -222,6 +234,9 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   void append_message(std::uint8_t type, const std::uint8_t* frame,
                       std::size_t len);
   void flush();
+  std::size_t write_out(const std::uint8_t* data, std::size_t len);
+  void note_buffers();
+  ResponseCallback pop_pending();
   void maybe_finish_drain();
   void fail_pending(const std::string& reason);
   void close_on_loop(const std::string& reason);
@@ -240,15 +255,18 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   SessionCrypto control_;       // HELLO/WELCOME/PING framing
   std::atomic<State> state_{State::kHandshaking};
 
-  util::Bytes read_buf_;        // unparsed wire bytes (consumed from front)
-  std::size_t read_pos_ = 0;
-  util::Bytes write_buf_;       // sealed messages awaiting the conduit
+  // Empty (and capacity-free) while idle: see "Buffer ownership" above.
+  util::Bytes read_buf_;        // a partial frame, or frames a yield left
+  util::Bytes write_buf_;       // bytes the conduit refused, in order
   std::size_t write_pos_ = 0;
   bool want_write_armed_ = false;
   std::atomic<bool> notify_pending_{false};  // memory-conduit readiness edge
 
   RequestHandler handler_;                       // server role
-  std::deque<ResponseCallback> pending_;         // client role, FIFO matching
+  // Client role, FIFO matching: live entries are [pending_head_, size()).
+  // Allocates on the first submit only; server ends never do.
+  std::vector<ResponseCallback> pending_;
+  std::size_t pending_head_ = 0;
   std::vector<std::pair<util::Bytes, ResponseCallback>> queued_submits_;
   std::function<void()> established_callback_;
 
@@ -256,6 +274,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   std::atomic<std::uint64_t> frames_in_{0}, frames_out_{0};
   std::atomic<std::uint64_t> bytes_in_{0}, bytes_out_{0};
   std::atomic<std::uint64_t> batches_{0}, max_batch_{0};
+  std::atomic<std::uint64_t> buffer_bytes_{0};
 };
 
 // ------------------------------------------------------------------ reactor

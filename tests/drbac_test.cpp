@@ -259,6 +259,25 @@ TEST(Repository, DiscoveryTagsFilterQueries) {
   EXPECT_EQ(w.repo.by_subject(Principal::of_entity(w.alice)).size(), 1u);
 }
 
+TEST(Repository, AddIfAbsentSkipsCredentialsAlreadyHeld) {
+  World w;
+  auto d = w.add(w.comp_ny, Principal::of_entity(w.alice),
+                 role_of(w.comp_ny, "Member"));
+  const std::uint64_t epoch = w.repo.epoch();
+  // The same credential, as the same pointer or as a decoded copy.
+  EXPECT_FALSE(w.repo.add_if_absent(d));
+  EXPECT_FALSE(w.repo.add_if_absent(std::make_shared<Delegation>(*d)));
+  EXPECT_EQ(w.repo.size(), 1u);
+  EXPECT_EQ(w.repo.epoch(), epoch);
+  // A different credential for the same subject is added.
+  auto other = issue(w.comp_ny, Principal::of_entity(w.alice),
+                     role_of(w.comp_ny, "Partner"), {}, false, 0, 0,
+                     w.repo.next_serial());
+  EXPECT_TRUE(w.repo.add_if_absent(other));
+  EXPECT_EQ(w.repo.size(), 2u);
+  EXPECT_GT(w.repo.epoch(), epoch);
+}
+
 TEST(Repository, RevocationNotifiesSubscribers) {
   World w;
   std::vector<std::uint64_t> seen;

@@ -275,6 +275,35 @@ TEST_F(PlannerScenario, SessionValidityTracksNetworkChanges) {
   EXPECT_FALSE(psf().monitor().events().empty());
 }
 
+TEST_F(PlannerScenario, MonitorKeepsOnlyRecentEvents) {
+  const std::size_t extra = 10;
+  for (std::size_t i = 0; i < MonitorModule::kMaxEvents + extra; ++i) {
+    psf().update_link(Scenario::kNyServer, Scenario::kNyPc,
+                      {static_cast<util::SimTime>(i + 1), 100'000, true});
+  }
+  const auto& events = psf().monitor().events();
+  ASSERT_EQ(events.size(), MonitorModule::kMaxEvents);
+  EXPECT_EQ(events.front().props.latency,
+            static_cast<util::SimTime>(extra + 1));
+  EXPECT_EQ(events.back().props.latency,
+            static_cast<util::SimTime>(MonitorModule::kMaxEvents + extra));
+}
+
+TEST_F(PlannerScenario, AdaptationsReuseTheViewGrant) {
+  auto session = psf().request(s.request_for(s.alice, Scenario::kNyPc, {}));
+  ASSERT_TRUE(session.ok()) << session.error().message;
+  auto current = psf().adapt(session.value());
+  ASSERT_TRUE(current.ok()) << current.error().message;
+  const std::size_t size = psf().repository().size();
+  const std::uint64_t epoch = psf().repository().epoch();
+  for (int i = 0; i < 200; ++i) {
+    current = psf().adapt(current.value());
+    ASSERT_TRUE(current.ok()) << current.error().message;
+  }
+  EXPECT_EQ(psf().repository().size(), size);
+  EXPECT_EQ(psf().repository().epoch(), epoch);
+}
+
 TEST_F(PlannerScenario, ReplicaIsReusedAcrossClients) {
   framework::QoS qos;
   qos.min_bandwidth_kbps = 1000;

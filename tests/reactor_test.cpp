@@ -8,7 +8,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <future>
+#include <limits>
 #include <thread>
 
 #include "drbac/credential.hpp"
@@ -21,6 +23,7 @@
 #include "switchboard/channel.hpp"
 #include "switchboard/network.hpp"
 #include "switchboard/reactor.hpp"
+#include "util/rng.hpp"
 
 namespace psf::switchboard {
 namespace {
@@ -288,6 +291,11 @@ TEST(EventChannel, SocketConduitWithWriteBacklog) {
   });
   ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
   EXPECT_EQ(future.get(), big);
+  // The backlog drained: neither end keeps the refused bytes' capacity.
+  EXPECT_TRUE(eventually([&] {
+    return client->stats().buffer_bytes == 0 &&
+           server->stats().buffer_bytes == 0;
+  }));
   loop.stop();
 }
 #endif
@@ -330,6 +338,354 @@ TEST(EventChannel, DrainingTeardown) {
   auto result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.error().code, "closed");
+  loop.stop();
+}
+
+// ------------------------------------------------- chunked delivery + memory
+
+/// Cuts a conduit's read stream into pieces: each read_some stops at the
+/// next cut, so the reader sees the bytes in exactly these pieces (or finer,
+/// when the writer has not caught up). `next_piece` runs on the reader's
+/// thread and returns the size of the next piece (>= 1).
+class SplitConduit final : public Conduit {
+ public:
+  SplitConduit(std::unique_ptr<Conduit> inner,
+               std::function<std::size_t()> next_piece)
+      : inner_(std::move(inner)), next_piece_(std::move(next_piece)) {}
+
+  std::size_t read_some(std::uint8_t* buf, std::size_t len) override {
+    if (left_ == 0) left_ = next_piece_();
+    const std::size_t n = inner_->read_some(buf, std::min(len, left_));
+    left_ -= n;
+    return n;
+  }
+  std::size_t write_some(const std::uint8_t* data, std::size_t len) override {
+    return inner_->write_some(data, len);
+  }
+  void close() override { inner_->close(); }
+  bool peer_closed() const override { return inner_->peer_closed(); }
+  int fd() const override { return inner_->fd(); }
+  void set_data_callback(std::function<void()> fn) override {
+    inner_->set_data_callback(std::move(fn));
+  }
+
+ private:
+  std::unique_ptr<Conduit> inner_;
+  std::function<std::size_t()> next_piece_;
+  std::size_t left_ = 0;
+};
+
+using Schedule = std::function<std::function<std::size_t()>()>;
+
+Schedule whole() {
+  return [] { return [] { return std::numeric_limits<std::size_t>::max(); }; };
+}
+Schedule pieces_of(std::size_t size) {
+  return [size] { return [size] { return size; }; };
+}
+/// One cut at `offset`, then the rest in whole reads.
+Schedule cut_at(std::size_t offset) {
+  return [offset] {
+    return [offset, first = true]() mutable {
+      const std::size_t piece =
+          first ? offset : std::numeric_limits<std::size_t>::max();
+      first = false;
+      return piece;
+    };
+  };
+}
+Schedule seeded(std::uint64_t seed, std::size_t max_piece) {
+  return [seed, max_piece] {
+    return [rng = util::Rng(seed), max_piece]() mutable {
+      return static_cast<std::size_t>(rng.next_below(max_piece)) + 1;
+    };
+  };
+}
+
+struct Exchange {
+  std::vector<util::Bytes> responses;
+  EventChannel::Stats client, server;
+};
+
+/// Echo-reversed server + client over one memory pipe, each end reading
+/// through its own schedule; submits every request at once and returns the
+/// responses in submission order.
+Exchange run_exchange(EventLoop& loop, const std::shared_ptr<Connection>& trunk,
+                      std::uint64_t session, const Schedule& client_reads,
+                      const Schedule& server_reads,
+                      const std::vector<util::Bytes>& requests,
+                      std::size_t max_batch = 128) {
+  auto pair = make_memory_conduit_pair();
+  auto server = EventChannel::serve(
+      loop, std::make_unique<SplitConduit>(std::move(pair.b), server_reads()),
+      trunk,
+      [](const util::Bytes& request, util::Bytes& response) {
+        response.assign(request.rbegin(), request.rend());
+        response.push_back('!');
+      },
+      max_batch);
+  auto client = EventChannel::open(
+      loop, std::make_unique<SplitConduit>(std::move(pair.a), client_reads()),
+      trunk, session, "split", max_batch);
+  Exchange out;
+  out.responses.resize(requests.size());
+  std::atomic<std::size_t> answered{0};
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    client->submit(requests[i], [&out, &answered, i](util::Result<util::Bytes> r) {
+      EXPECT_TRUE(r.ok()) << r.error().message;
+      if (r.ok()) out.responses[i] = r.value();
+      answered.fetch_add(1);
+    });
+  }
+  EXPECT_TRUE(eventually([&] { return answered.load() == requests.size(); }));
+  EXPECT_TRUE(eventually([&] {
+    return client->stats().buffer_bytes == 0 &&
+           server->stats().buffer_bytes == 0;
+  })) << "an idle session owns no I/O buffer capacity";
+  out.client = client->stats();
+  out.server = server->stats();
+  client->close();
+  server->close();
+  return out;
+}
+
+util::Bytes patterned(std::size_t size, std::uint8_t salt) {
+  util::Bytes body(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    body[i] = static_cast<std::uint8_t>(i * 131 + salt);
+  }
+  return body;
+}
+
+TEST(EventChannel, ChunkedDeliveryMatchesWholeFrames) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  constexpr std::size_t kChunk = EventChannel::kReadChunk;
+  // 16 KiB bodies put frame boundaries on both sides of every read chunk.
+  std::vector<util::Bytes> requests;
+  std::uint8_t salt = 0;
+  for (const std::size_t size :
+       {std::size_t{1}, std::size_t{100}, kChunk - 45, kChunk - 1, kChunk,
+        kChunk + 1, std::size_t{57}, 3 * kChunk + 7, std::size_t{2}}) {
+    requests.push_back(patterned(size, salt++));
+  }
+  std::uint64_t session = 100;
+  const Exchange reference =
+      run_exchange(loop, trunk, session++, whole(), whole(), requests);
+  ASSERT_EQ(reference.responses.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    util::Bytes expected(requests[i].rbegin(), requests[i].rend());
+    expected.push_back('!');
+    EXPECT_EQ(reference.responses[i], expected) << "request " << i;
+  }
+
+  struct Case {
+    const char* name;
+    Schedule reads;
+    std::size_t max_batch;
+  };
+  const std::vector<Case> cases = {
+      {"1-byte reads", pieces_of(1), 128},
+      {"chunk-sized reads", pieces_of(kChunk), 128},
+      {"chunk+1 reads", pieces_of(kChunk + 1), 128},
+      {"seeded reads", seeded(7, 2 * kChunk), 128},
+      {"seeded small reads", seeded(8, 300), 128},
+      {"seeded reads, batch 1", seeded(9, 2 * kChunk), 1},
+      {"seeded reads, batch 2", seeded(10, 3 * kChunk), 2},
+      {"whole reads, batch 1", whole(), 1},
+  };
+  for (const Case& c : cases) {
+    const Exchange split = run_exchange(loop, trunk, session++, c.reads,
+                                        c.reads, requests, c.max_batch);
+    EXPECT_EQ(split.responses, reference.responses) << c.name;
+    EXPECT_EQ(split.client.bytes_in, reference.client.bytes_in) << c.name;
+    EXPECT_EQ(split.server.bytes_in, reference.server.bytes_in) << c.name;
+    EXPECT_EQ(split.client.frames_in, reference.client.frames_in) << c.name;
+  }
+  loop.stop();
+}
+
+TEST(EventChannel, EverySplitOffsetMatchesWholeFrames) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  const std::vector<util::Bytes> requests = {util::to_bytes("first"),
+                                             util::to_bytes("second request"),
+                                             util::to_bytes("3")};
+  std::uint64_t session = 1000;
+  const Exchange reference =
+      run_exchange(loop, trunk, session++, whole(), whole(), requests);
+  // Cut each end's read stream once, at every offset it can be cut.
+  const std::size_t longest =
+      std::max(reference.client.bytes_in, reference.server.bytes_in);
+  ASSERT_GT(longest, 100u);
+  for (std::size_t offset = 1; offset < longest; ++offset) {
+    const Exchange split = run_exchange(loop, trunk, session++,
+                                        cut_at(offset), cut_at(offset),
+                                        requests, offset % 2 + 1);
+    ASSERT_EQ(split.responses, reference.responses) << "cut at " << offset;
+  }
+  loop.stop();
+}
+
+/// A client channel facing a hand-rolled server end: the test completes the
+/// handshake itself and can then put arbitrary bytes on the wire.
+struct ManualPeer {
+  ManualPeer(EventLoop& loop, const std::shared_ptr<Connection>& trunk,
+             std::uint64_t session, const Schedule& client_reads)
+      : trunk(trunk), session(session) {
+    auto pair = make_memory_conduit_pair();
+    server_end = std::move(pair.b);
+    client = EventChannel::open(
+        loop, std::make_unique<SplitConduit>(std::move(pair.a), client_reads()),
+        trunk, session, "peer");
+  }
+
+  /// Read one whole wire message (u32_be len | body) off the server end.
+  util::Bytes read_message() {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    for (;;) {
+      if (wire.size() >= 4) {
+        const std::uint32_t len = util::get_u32_be(wire, 0);
+        if (wire.size() >= 4 + len) {
+          util::Bytes body(wire.begin() + 4, wire.begin() + 4 + len);
+          wire.erase(wire.begin(), wire.begin() + 4 + len);
+          return body;
+        }
+      }
+      if (std::chrono::steady_clock::now() >= deadline) {
+        ADD_FAILURE() << "wire timeout";
+        return {};
+      }
+      std::uint8_t chunk[4096];
+      const std::size_t n = server_end->read_some(chunk, sizeof chunk);
+      if (n == 0) {
+        std::this_thread::sleep_for(1ms);
+      } else {
+        wire.insert(wire.end(), chunk, chunk + n);
+      }
+    }
+  }
+
+  void write(const util::Bytes& bytes) {
+    std::size_t written = 0;
+    while (written < bytes.size()) {
+      written += server_end->write_some(bytes.data() + written,
+                                        bytes.size() - written);
+    }
+  }
+
+  /// Answer the client's HELLO with a valid WELCOME.
+  void welcome() {
+    const util::Bytes hello = read_message();
+    ASSERT_GE(hello.size(), 9u);
+    SessionCrypto ctl(trunk->derive_session_keys(session, "ctl"));
+    util::Bytes plain, frame, message;
+    ASSERT_TRUE(ctl.unseal_into(0, hello.data() + 9, hello.size() - 9, plain)
+                    .ok());
+    ctl.seal_into(1, plain.data(), plain.size(), frame);
+    util::put_u32_be(message, static_cast<std::uint32_t>(9 + frame.size()));
+    message.push_back(1);
+    util::put_u64_be(message, session);
+    message.insert(message.end(), frame.begin(), frame.end());
+    write(message);
+  }
+
+  std::shared_ptr<Connection> trunk;
+  std::uint64_t session;
+  std::unique_ptr<Conduit> server_end;
+  std::shared_ptr<EventChannel> client;
+  util::Bytes wire;
+};
+
+/// Establish, submit one request, answer it with `reply` (then EOF when
+/// `then_eof`), and return the request's failure as "code: message".
+std::string typed_close(EventLoop& loop, const std::shared_ptr<Connection>& trunk,
+                        std::uint64_t session, const Schedule& client_reads,
+                        const util::Bytes& reply, bool then_eof) {
+  ManualPeer peer(loop, trunk, session, client_reads);
+  peer.welcome();
+  std::promise<util::Result<util::Bytes>> promise;
+  auto future = promise.get_future();
+  peer.client->submit(util::to_bytes("q"), [&](util::Result<util::Bytes> r) {
+    promise.set_value(std::move(r));
+  });
+  const util::Bytes request = peer.read_message();
+  EXPECT_FALSE(request.empty());
+  peer.write(reply);
+  if (then_eof) peer.server_end->close();
+  if (future.wait_for(5s) != std::future_status::ready) return "timeout";
+  auto result = future.get();
+  if (result.ok()) return "ok";
+  EXPECT_TRUE(eventually([&] {
+    return peer.client->state() == EventChannel::State::kClosed &&
+           peer.client->stats().buffer_bytes == 0;
+  }));
+  return result.error().code + ": " + result.error().message;
+}
+
+TEST(EventChannel, CorruptPrefixAndMidFrameEofCloseTheSameWayInAnyPieces) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  // A zero and an oversized length prefix, each behind a valid-looking byte.
+  const util::Bytes zero_len = {0, 0, 0, 0, 2, 9, 9};
+  const util::Bytes huge_len = {0xFF, 0xFF, 0xFF, 0xFF, 2, 9, 9};
+  // The first 30 bytes of a 200-byte DATA message, then EOF.
+  util::Bytes truncated;
+  util::put_u32_be(truncated, 200);
+  truncated.push_back(2);
+  truncated.resize(30, 7);
+
+  const std::vector<Schedule> schedules = {whole(), pieces_of(1),
+                                           pieces_of(3), seeded(11, 8)};
+  std::uint64_t session = 5000;
+  for (const auto& schedule : schedules) {
+    EXPECT_EQ(typed_close(loop, trunk, session++, schedule, zero_len, false),
+              "closed: corrupt length prefix");
+    EXPECT_EQ(typed_close(loop, trunk, session++, schedule, huge_len, false),
+              "closed: corrupt length prefix");
+    EXPECT_EQ(typed_close(loop, trunk, session++, schedule, truncated, true),
+              "closed: peer eof mid-frame");
+  }
+  loop.stop();
+}
+
+TEST(EventChannel, IdleSessionHoldsNoBufferCapacity) {
+  TrunkWorld w;
+  auto trunk = w.connect();
+  EventLoop loop;
+  loop.start();
+  auto pair = make_memory_conduit_pair();
+  auto server = EventChannel::serve(
+      loop, std::move(pair.b), trunk,
+      [](const util::Bytes& request, util::Bytes& response) {
+        response = request;
+      });
+  auto client = EventChannel::open(loop, std::move(pair.a), trunk, 21, "idle");
+  const util::Bytes big = patterned(16u << 10, 3);
+  for (int round = 0; round < 3; ++round) {
+    std::promise<util::Bytes> promise;
+    auto future = promise.get_future();
+    client->submit(big, [&](util::Result<util::Bytes> r) {
+      ASSERT_TRUE(r.ok()) << r.error().message;
+      promise.set_value(r.value());
+    });
+    ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+    EXPECT_EQ(future.get(), big);
+    // The 16 KiB frame straddles a read chunk, so both ends buffered a
+    // partial frame; once idle, neither holds any capacity.
+    EXPECT_TRUE(eventually([&] {
+      return client->stats().buffer_bytes == 0 &&
+             server->stats().buffer_bytes == 0;
+    })) << "client " << client->stats().buffer_bytes << " B, server "
+        << server->stats().buffer_bytes << " B";
+  }
+  EXPECT_GE(client->stats().bytes_in, 3 * big.size());
   loop.stop();
 }
 
