@@ -46,22 +46,18 @@ crypto::ChaChaNonce nonce_for(int direction, std::uint64_t seq) {
 
 constexpr std::size_t kFrameOverhead = 8 /*seq*/ + 32 /*hmac*/;
 
-/// I/O scratch shared by every EventChannel on one loop thread.
+/// Read scratch shared by every EventChannel on one loop thread.
 ///
 /// Reentrancy rule: `read` is parsed in place for a whole dispatch batch, so
 /// no other dispatch on this thread may read into it until the batch ends
 /// (`reading`). Memory conduits always post() their readiness callback, so
 /// a dispatch never starts inside another; the one inline path — a channel
 /// registered from inside a handler — finds `reading` set and posts its
-/// first dispatch instead. `write` stages the messages of at most one
-/// channel (`write_owner`) between append and that channel's flush; the
-/// owner's flush or close always empties it before returning to the loop.
+/// first dispatch instead.
 struct LoopScratch {
   std::unique_ptr<std::uint8_t[]> read =
       std::make_unique_for_overwrite<std::uint8_t[]>(EventChannel::kReadChunk);
   bool reading = false;
-  util::Bytes write;
-  const EventChannel* write_owner = nullptr;
 };
 
 LoopScratch& loop_scratch() {
@@ -429,25 +425,14 @@ void EventChannel::send_data_frame(const util::Bytes& plain) {
 
 void EventChannel::append_message(std::uint8_t type, const std::uint8_t* frame,
                                   std::size_t len) {
-  if (state_.load() == State::kClosed) return;
-  // Stage in the loop's write scratch while this session has no backlog and
-  // no other channel is mid-batch there; flush() then hands the staged batch
-  // to the conduit and keeps only what it refuses. Otherwise append behind
-  // the backlog so bytes leave in order.
-  LoopScratch& scratch = loop_scratch();
-  util::Bytes* out = &write_buf_;
-  if (write_buf_.empty() &&
-      (scratch.write_owner == nullptr || scratch.write_owner == this)) {
-    scratch.write_owner = this;
-    out = &scratch.write;
-  }
+  if (state_.load() == State::kClosed) return;  // a closed channel holds no bytes
   // u32_be length | u8 type | [u64_be session_id] | sealed frame
   const bool with_session = type == kHello || type == kWelcome;
   const std::size_t body = 1 + (with_session ? 8 : 0) + len;
-  util::put_u32_be(*out, static_cast<std::uint32_t>(body));
-  out->push_back(type);
-  if (with_session) util::put_u64_be(*out, session_id_);
-  out->insert(out->end(), frame, frame + len);
+  util::put_u32_be(write_buf_, static_cast<std::uint32_t>(body));
+  write_buf_.push_back(type);
+  if (with_session) util::put_u64_be(write_buf_, session_id_);
+  write_buf_.insert(write_buf_.end(), frame, frame + len);
   frames_out_.fetch_add(1, std::memory_order_relaxed);
   ReactorMetrics::get().session_frames.inc();
 }
@@ -508,9 +493,9 @@ void EventChannel::on_readable() {
         if (read_buf_.size() >= 4) {
           const std::uint32_t body_len = load_u32_be(read_buf_.data());
           if (body_len != 0 && body_len <= kMaxMessage) {
-            const std::size_t total = 4 + static_cast<std::size_t>(body_len);
-            read_buf_.reserve(total);
-            top_up(total);
+            // No reserve: the prefix is not authenticated yet, so the
+            // buffer grows only as the peer actually sends the body.
+            top_up(4 + static_cast<std::size_t>(body_len));
           }
         }
         const std::size_t used =
@@ -745,34 +730,27 @@ void EventChannel::close() {
 void EventChannel::flush() {
   loop_.assert_in_loop();
   if (state_.load() == State::kClosed) return;
-  LoopScratch& scratch = loop_scratch();
-  if (scratch.write_owner == this) {
-    // The staged batch goes straight to the conduit; only the part it
-    // refuses is copied into write_buf_ (empty while staging). Ownership
-    // is kept until the copy, so nothing else stages over these bytes;
-    // a close inside write_out() has already emptied the scratch.
-    const std::size_t n = write_out(scratch.write.data(), scratch.write.size());
-    if (state_.load() == State::kClosed) return;
-    write_buf_.assign(scratch.write.begin() + static_cast<std::ptrdiff_t>(n),
-                      scratch.write.end());
-    scratch.write.clear();
-    scratch.write_owner = nullptr;
-  } else {
-    const std::size_t n = write_out(write_buf_.data() + write_pos_,
-                                    write_buf_.size() - write_pos_);
-    if (state_.load() == State::kClosed) return;
-    write_pos_ += n;
-  }
-  if (write_pos_ < write_buf_.size()) {
-    // Transport backlog: arm writability and resume from the poller.
-    if (conduit_->fd() >= 0 && !want_write_armed_) {
-      loop_.mod_fd(conduit_->fd(), true, true);
-      want_write_armed_ = true;
+  while (write_pos_ < write_buf_.size()) {
+    const std::size_t n = conduit_->write_some(write_buf_.data() + write_pos_,
+                                               write_buf_.size() - write_pos_);
+    if (n == 0) {
+      if (conduit_->peer_closed()) {
+        close_on_loop("write to closed peer");
+        return;
+      }
+      // Transport backlog: arm writability and resume from the poller.
+      if (conduit_->fd() >= 0 && !want_write_armed_) {
+        loop_.mod_fd(conduit_->fd(), true, true);
+        want_write_armed_ = true;
+      }
+      note_buffers();
+      return;
     }
-    note_buffers();
-    return;
+    write_pos_ += n;
+    bytes_out_.fetch_add(n, std::memory_order_relaxed);
+    ReactorMetrics::get().session_bytes.inc(n);
   }
-  release(write_buf_);
+  release(write_buf_);  // drained: an idle session holds no capacity
   write_pos_ = 0;
   if (want_write_armed_) {
     loop_.mod_fd(conduit_->fd(), true, false);
@@ -782,31 +760,13 @@ void EventChannel::flush() {
   maybe_finish_drain();
 }
 
-std::size_t EventChannel::write_out(const std::uint8_t* data, std::size_t len) {
-  std::size_t done = 0;
-  while (done < len) {
-    const std::size_t n = conduit_->write_some(data + done, len - done);
-    if (n == 0) {
-      if (conduit_->peer_closed()) close_on_loop("write to closed peer");
-      break;
-    }
-    done += n;
-  }
-  if (done > 0) {
-    bytes_out_.fetch_add(done, std::memory_order_relaxed);
-    ReactorMetrics::get().session_bytes.inc(done);
-  }
-  return done;
-}
-
 void EventChannel::note_buffers() {
   buffer_bytes_.store(read_buf_.capacity() + write_buf_.capacity(),
                       std::memory_order_relaxed);
 }
 
 void EventChannel::maybe_finish_drain() {
-  if (state_.load() == State::kDraining && write_pos_ >= write_buf_.size() &&
-      loop_scratch().write_owner != this) {
+  if (state_.load() == State::kDraining && write_pos_ >= write_buf_.size()) {
     close_on_loop("drained");
   }
 }
@@ -841,13 +801,8 @@ void EventChannel::close_on_loop(const std::string& reason) {
   state_.store(State::kClosed);
   if (conduit_->fd() >= 0) loop_.del_fd(conduit_->fd());
   conduit_->close();
-  // A closed channel sends and parses nothing more: drop its staged and
-  // buffered bytes. Callers stop touching buffer memory once closed.
-  LoopScratch& scratch = loop_scratch();
-  if (scratch.write_owner == this) {
-    scratch.write.clear();
-    scratch.write_owner = nullptr;
-  }
+  // A closed channel sends and parses nothing more: drop its buffered
+  // bytes. Callers stop touching buffer memory once closed.
   release(read_buf_);
   release(write_buf_);
   write_pos_ = 0;

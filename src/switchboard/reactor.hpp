@@ -32,11 +32,12 @@
 // seals all responses into one staged write, and flushes it with a single
 // write — so a burst of B requests costs O(1) syscalls/wakes, not O(B).
 //
-// Buffer ownership: the read chunk and the staged write are per-loop-thread
-// scratch shared by every channel on the worker. A channel's own buffers
-// hold only what cannot be handled now — a partial frame, frames left over
-// when a batch yields, bytes the conduit refused — and are released once
-// drained, so an idle session owns no I/O buffer capacity.
+// Buffer ownership: the read chunk is per-loop-thread scratch shared by
+// every channel on the worker. A channel's read buffer holds only what
+// cannot be handled now — a partial frame, or frames left over when a batch
+// yields; its write buffer holds a batch's messages until flush() hands
+// them to the conduit, and whatever the conduit refuses. Both are released
+// once drained, so an idle session owns no I/O buffer capacity.
 //
 // The synchronous Connection path remains (the paper's experiments and the
 // cold path run on it); the same request bytes produce byte-identical
@@ -234,7 +235,6 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
   void append_message(std::uint8_t type, const std::uint8_t* frame,
                       std::size_t len);
   void flush();
-  std::size_t write_out(const std::uint8_t* data, std::size_t len);
   void note_buffers();
   ResponseCallback pop_pending();
   void maybe_finish_drain();
@@ -257,7 +257,7 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
 
   // Empty (and capacity-free) while idle: see "Buffer ownership" above.
   util::Bytes read_buf_;        // a partial frame, or frames a yield left
-  util::Bytes write_buf_;       // bytes the conduit refused, in order
+  util::Bytes write_buf_;       // unflushed messages, then any backlog
   std::size_t write_pos_ = 0;
   bool want_write_armed_ = false;
   std::atomic<bool> notify_pending_{false};  // memory-conduit readiness edge

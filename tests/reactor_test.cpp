@@ -652,6 +652,40 @@ TEST(EventChannel, CorruptPrefixAndMidFrameEofCloseTheSameWayInAnyPieces) {
     EXPECT_EQ(typed_close(loop, trunk, session++, schedule, truncated, true),
               "closed: peer eof mid-frame");
   }
+
+  // A valid length prefix for the largest frame the reader accepts (16 MiB),
+  // then only a few body bytes: the session buffers what arrived, not what
+  // the unauthenticated prefix claims.
+  util::Bytes huge_partial;
+  util::put_u32_be(huge_partial, 16u << 20);
+  huge_partial.insert(huge_partial.end(), {2, 1, 2, 3, 4});
+  for (const auto& schedule : schedules) {
+    ManualPeer peer(loop, trunk, session++, schedule);
+    peer.welcome();
+    std::promise<util::Result<util::Bytes>> promise;
+    auto future = promise.get_future();
+    peer.client->submit(util::to_bytes("q"), [&](util::Result<util::Bytes> r) {
+      promise.set_value(std::move(r));
+    });
+    EXPECT_FALSE(peer.read_message().empty());
+    const std::uint64_t before = peer.client->stats().bytes_in;
+    peer.write(huge_partial);
+    ASSERT_TRUE(eventually([&] {
+      return peer.client->stats().bytes_in == before + huge_partial.size();
+    }));
+    // Run behind the dispatch that read those bytes.
+    std::promise<void> barrier;
+    loop.post([&] { barrier.set_value(); });
+    barrier.get_future().wait();
+    const std::uint64_t held = peer.client->stats().buffer_bytes;
+    EXPECT_GT(held, 0u);
+    EXPECT_LT(held, EventChannel::kReadChunk);
+    peer.server_end->close();
+    ASSERT_EQ(future.wait_for(5s), std::future_status::ready);
+    auto result = future.get();
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.error().message, "peer eof mid-frame");
+  }
   loop.stop();
 }
 
