@@ -10,7 +10,6 @@
 // bytecode_speedup_loop) — the bytecode engine must stay >=2x the
 // interpreter on loop-heavy bodies or CI fails.
 #include <cstdio>
-#include <cstdlib>
 
 #include "bench_util.hpp"
 #include "mail/components.hpp"
@@ -74,37 +73,8 @@ std::shared_ptr<ClassDef> make_hot_class() {
       count = count + 1;
       if (balance > 1000000) { balance = 0; }
       return balance * count;)");
-  add("fieldHot", {"n"}, R"(
-      var total = 0;
-      for (var i = 0; i < n; i = i + 1) {
-        total = total + balance * balance + balance - count * count + count;
-      }
-      return total;)");
   return cls;
 }
-
-// Pin PSF_MINILANG_OPT for one compile phase (the flag is read per
-// ensure_compiled call; compiled slots keep whatever the compile saw).
-class OptEnv {
- public:
-  explicit OptEnv(const char* value) {
-    const char* prior = std::getenv("PSF_MINILANG_OPT");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) prior_ = prior;
-    setenv("PSF_MINILANG_OPT", value, 1);
-  }
-  ~OptEnv() {
-    if (had_prior_) {
-      setenv("PSF_MINILANG_OPT", prior_.c_str(), 1);
-    } else {
-      unsetenv("PSF_MINILANG_OPT");
-    }
-  }
-
- private:
-  bool had_prior_ = false;
-  std::string prior_;
-};
 
 // Which engine runs a timed call: the reference walker or the production VM.
 enum class Engine { kOracle, kVm };
@@ -171,54 +141,6 @@ void reproduce() {
     report.derived(std::string("bytecode_speedup_") +
                        (c.name == std::string("sum_loop") ? "loop" : c.name),
                    speedup);
-  }
-
-  // Optimizer delta (DESIGN.md §4l): the same field-heavy loop compiled with
-  // PSF_MINILANG_OPT off and on, into separate registries so each compiled
-  // slot keeps its phase's code. The instruction reduction is deterministic
-  // (gated in baselines.json); the time delta is informational.
-  {
-    struct Phase {
-      std::shared_ptr<ClassRegistry> registry;
-      std::shared_ptr<minilang::Instance> self;
-      std::size_t insns = 0;
-    };
-    auto compile_phase = [&](const char* env) {
-      OptEnv pin(env);
-      Phase phase;
-      phase.registry = std::make_shared<ClassRegistry>();
-      auto fresh = std::make_shared<ClassDef>();
-      fresh->name = "Hot";
-      fresh->fields = hot->fields;
-      for (const auto& m : hot->methods) fresh->methods.push_back(m.clone());
-      phase.registry->register_class(fresh);
-      const MethodDef* method = fresh->find_method("fieldHot");
-      phase.insns =
-          minilang::ensure_compiled(*phase.registry, fresh, *method)
-              .code.size();
-      phase.self = minilang::instantiate(*phase.registry, "Hot");
-      return phase;
-    };
-    Phase unopt = compile_phase("0");
-    Phase opt = compile_phase("1");
-    const std::vector<Value> args = {Value::integer(1000)};
-    const double unopt_us =
-        time_method(unopt.self, "fieldHot", args, Engine::kVm, iters);
-    const double opt_us =
-        time_method(opt.self, "fieldHot", args, Engine::kVm, iters);
-    const double speedup = opt_us > 0 ? unopt_us / opt_us : 0.0;
-    const double reduction_pct =
-        unopt.insns > 0
-            ? 100.0 * static_cast<double>(unopt.insns - opt.insns) /
-                  static_cast<double>(unopt.insns)
-            : 0.0;
-    std::printf("  %-16s %12.2f %12.2f %9.2fx  (%zu -> %zu insns, -%.1f%%)\n",
-                "field_hot_opt", unopt_us, opt_us, speedup, unopt.insns,
-                opt.insns, reduction_pct);
-    report.add("field_hot.unopt_us", unopt_us, "us", iters);
-    report.add("field_hot.opt_us", opt_us, "us", iters);
-    report.derived("opt_speedup_field_hot", speedup);
-    report.derived("opt_insn_reduction_pct", reduction_pct);
   }
 
   // Compile cost per hot class (fresh slots each round via clone()).

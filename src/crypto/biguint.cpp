@@ -180,21 +180,6 @@ BigUInt BigUInt::mod_barrett(const BigUInt& a, const BigUInt& m,
   return r;
 }
 
-BigUInt BigUInt::add_mod(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
-  BigUInt sum = add(a, b);
-  if (sum.compare(m) >= 0) sum = sub(sum, m);
-  return sum;
-}
-
-BigUInt BigUInt::mul_mod(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
-  return mod(mul256(a, b), m);
-}
-
-BigUInt BigUInt::neg_mod(const BigUInt& a, const BigUInt& m) {
-  if (a.is_zero()) return a;
-  return sub(m, a);
-}
-
 std::string BigUInt::to_hex() const {
   static const char* digits = "0123456789abcdef";
   std::string out;

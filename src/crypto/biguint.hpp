@@ -56,15 +56,6 @@ class BigUInt {
   static BigUInt mod_barrett(const BigUInt& a, const BigUInt& m,
                              const BigUInt& mu);
 
-  /// (a + b) mod m, assuming a,b < m.
-  static BigUInt add_mod(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-
-  /// (a * b) mod m, assuming a,b < m <= 2^256.
-  static BigUInt mul_mod(const BigUInt& a, const BigUInt& b, const BigUInt& m);
-
-  /// (m - a) mod m, assuming a < m.
-  static BigUInt neg_mod(const BigUInt& a, const BigUInt& m);
-
   bool bit(std::size_t i) const {
     return (limbs_[i / 64] >> (i % 64)) & 1;
   }

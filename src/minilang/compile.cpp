@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "minilang/builtins.hpp"
-#include "minilang/optimize.hpp"
 #include "obs/metrics.hpp"
 
 namespace psf::minilang {
@@ -72,6 +71,9 @@ class Compiler {
     emit(Op::kReturnNull, 0, 0, 0, 0, 0);
 
     out_->num_registers = high_water_;
+    if (out_->num_caches > 0) {
+      out_->caches = std::make_unique<InlineCache[]>(out_->num_caches);
+    }
     return std::move(out_);
   }
 
@@ -349,8 +351,14 @@ class Compiler {
           const std::uint16_t arg = alloc_temp();
           expr_into(*e.children[i], arg);
         }
-        emit(Op::kCallMember, dst, add_name(e.name), base,
-             static_cast<std::int32_t>(e.children.size() - 1), e.line);
+        const std::size_t call =
+            emit(Op::kCallMember, dst, add_name(e.name), base,
+                 static_cast<std::int32_t>(e.children.size() - 1), e.line);
+        // One monomorphic inline-cache slot per site (1-based); sites past
+        // the 16-bit slot operand keep d = 0 and always take the named path.
+        if (out_->num_caches < kMaxOperand) {
+          out_->code[call].d = static_cast<std::uint16_t>(++out_->num_caches);
+        }
         break;
       }
       case ExprKind::kMemberGet: {
@@ -689,11 +697,6 @@ const CompiledMethod& ensure_compiled(const ClassRegistry& registry,
                       .count();
   obs::histogram("psf.minilang.compile_us").observe(static_cast<double>(us));
   obs::counter("psf.minilang.methods_compiled").inc();
-  if (optimize_enabled()) {
-    const OptimizeStats opt = optimize_method(*compiled);
-    obs::counter("psf.minilang.opt_loads_cse").inc(opt.loads_cse);
-    obs::counter("psf.minilang.opt_insns_removed").inc(opt.insns_removed);
-  }
   const CompiledMethod* code = compiled.get();
   slot->codes.push_back(std::move(compiled));
   if (declares(*cls, method)) {
@@ -868,7 +871,6 @@ std::string disassemble(const CompiledMethod& m) {
     if (insn.op == Op::kCallMember && insn.d != 0) {
       out << " [ic " << insn.d << "]";
     }
-    if (insn.cost != 1) out << " [cost " << insn.cost << "]";
     if (insn.line != 0) out << "  ; line " << insn.line;
     out << "\n";
   }

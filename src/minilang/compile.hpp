@@ -77,16 +77,10 @@ struct Insn {
   std::uint16_t d = 0;     // kCallMember: 1-based inline-cache slot, 0 = none
   std::int32_t imm = 0;
   std::uint32_t line = 0;  // source line, for runtime error messages
-  // Step-budget units this instruction charges. The compiler emits cost 1
-  // everywhere; the optimizer folds the cost of each eliminated instruction
-  // into the next retained instruction of the same basic block, so optimized
-  // code hits "step limit exceeded" at exactly the same observable point as
-  // the unoptimized bytecode (eliminated ops are side-effect-free).
-  std::uint16_t cost = 1;
 };
 
-/// One monomorphic call-site cache for kCallMember dispatch (optimizer
-/// allocated, PSF_MINILANG_OPT). Filled on first dispatch — or seeded by VIG
+/// One monomorphic call-site cache for kCallMember dispatch, allocated by the
+/// compiler (one per call site). Filled on first dispatch — or seeded by VIG
 /// from deployment-analysis facts — with the receiver class and the resolved
 /// public method. The VM hits it only when the receiver's ClassDef pointer
 /// matches exactly; any other receiver falls back to the named slow path.

@@ -130,7 +130,7 @@ void index_set(const Value& object, const Value& key, Value value) {
   throw EvalError("cannot index-assign " + object.type_name());
 }
 
-// First-dispatch inline-cache fill (optimizer-allocated sites only). Caches
+// First-dispatch inline-cache fill (compiler-allocated call sites). Caches
 // exclusively the monomorphic happy case: the receiver's ClassDef is the one
 // currently registered under its name and declares the method itself as
 // public. Anything else — inherited resolution, private targets, stale class
@@ -215,7 +215,7 @@ Value vm_execute(const CompiledMethod& m,
 #define VM_NEXT()                                                      \
   do {                                                                 \
     insn = &code[ip++];                                                \
-    steps += insn->cost;                                               \
+    ++steps;                                                           \
     if (steps > max_steps) throw EvalError("step limit exceeded");     \
     goto* kTargets[static_cast<unsigned>(insn->op)];                   \
   } while (0)
@@ -226,7 +226,7 @@ Value vm_execute(const CompiledMethod& m,
 #define VM_OP(name) case Op::name
   for (;;) {
     insn = &code[ip++];
-    steps += insn->cost;
+    ++steps;
     if (steps > max_steps) throw EvalError("step limit exceeded");
     switch (insn->op) {
 #endif
@@ -398,7 +398,7 @@ Value vm_execute(const CompiledMethod& m,
       regs[insn->a] = host.vm_call_internal(instance, m.names[insn->b],
                                             std::move(call_args));
     } else if (instance != nullptr && insn->d != 0) {
-      // Monomorphic inline cache (optimizer-allocated). A hit skips the name
+      // Monomorphic inline cache (compiler-allocated). A hit skips the name
       // resolution but keeps Instance::call semantics exactly: fresh engine,
       // default budgets, public target. Any guard mismatch falls back to the
       // named slow path, which also fills an empty cache.

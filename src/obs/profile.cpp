@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -352,13 +351,7 @@ StateHandle& state_handle() {
 }
 
 std::uint64_t resolve_interval_us(std::uint64_t requested) {
-  std::uint64_t us = requested;
-  if (us == 0) {
-    if (const char* env = std::getenv("PSF_PROFILE_INTERVAL_US")) {
-      us = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (us == 0) us = 997;
+  const std::uint64_t us = requested == 0 ? 997 : requested;
   return std::clamp<std::uint64_t>(us, 50, 10'000'000);
 }
 

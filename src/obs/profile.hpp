@@ -67,9 +67,9 @@ void set_thread_phase(LoopPhase phase);
 inline constexpr std::size_t kMaxFrames = 12;
 
 struct Options {
-  /// Sampling interval in CPU-microseconds per thread. 0 means: take
-  /// $PSF_PROFILE_INTERVAL_US, or 997 (a prime, so samplers do not phase-
-  /// lock with millisecond-periodic work) when unset.
+  /// Sampling interval in CPU-microseconds per thread, clamped to
+  /// [50, 10000000]. 0 means 997 (a prime, so samplers do not phase-lock
+  /// with millisecond-periodic work).
   std::uint64_t interval_us = 0;
 };
 

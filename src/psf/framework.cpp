@@ -52,9 +52,7 @@ void Node::release_cpu(std::int64_t amount) {
 
 // ---------------------------------------------------------- MonitorModule
 
-void MonitorModule::record(Event event) {
-  if (events_.size() == kMaxEvents) events_.pop_front();
-  events_.push_back(event);
+void MonitorModule::record(const Event& event) {
   for (const auto& callback : callbacks_) callback(event);
 }
 

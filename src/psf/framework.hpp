@@ -9,7 +9,6 @@
 // lazily), issues it credentials, and connects it over secure channels.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -112,7 +111,7 @@ struct ClientSession {
 
 /// Monitoring module (paper §2.1): tracks environment updates so existing
 /// deployments can be re-validated and adapted. Subscribers see every
-/// event; the module itself keeps only the most recent kMaxEvents.
+/// event; the module itself stores none.
 class MonitorModule {
  public:
   struct Event {
@@ -121,14 +120,10 @@ class MonitorModule {
     util::SimTime at;
   };
 
-  static constexpr std::size_t kMaxEvents = 1024;
-
-  void record(Event event);
-  const std::deque<Event>& events() const { return events_; }
+  void record(const Event& event);
   void subscribe(std::function<void(const Event&)> callback);
 
  private:
-  std::deque<Event> events_;
   std::vector<std::function<void(const Event&)>> callbacks_;
 };
 

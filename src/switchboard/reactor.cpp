@@ -94,15 +94,6 @@ struct ReactorMetrics {
       obs::histogram("psf.switchboard.loop.batch_frames");
 };
 
-int env_int(const char* name, int fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || parsed <= 0 || parsed > 1'000'000) return fallback;
-  return static_cast<int>(parsed);
-}
-
 }  // namespace
 
 // ------------------------------------------------------------------ conduits
@@ -836,17 +827,13 @@ void EventChannel::set_established_callback(std::function<void()> fn) {
 
 // ------------------------------------------------------------------ reactor
 
-Reactor::Reactor(ReactorOptions options) {
+Reactor::Reactor(ReactorOptions options)
+    : max_batch_frames_(options.max_batch_frames) {
   int workers = options.workers;
   if (workers <= 0) {
     const unsigned hc = std::thread::hardware_concurrency();
-    workers = env_int("PSF_LOOP_WORKERS",
-                      static_cast<int>(std::min(4u, std::max(2u, hc))));
+    workers = static_cast<int>(std::min(4u, std::max(2u, hc)));
   }
-  max_batch_frames_ = options.max_batch_frames != 0
-                          ? options.max_batch_frames
-                          : static_cast<std::size_t>(
-                                env_int("PSF_LOOP_BATCH", 128));
   loops_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     loops_.push_back(

@@ -279,13 +279,11 @@ class EventChannel : public std::enable_shared_from_this<EventChannel> {
 
 // ------------------------------------------------------------------ reactor
 
-/// Tuning for a Reactor pool. Zero fields resolve from the environment:
-/// PSF_LOOP_WORKERS (worker count), PSF_LOOP_BATCH (max frames per
-/// readiness dispatch).
+/// Tuning for a Reactor pool.
 struct ReactorOptions {
-  int workers = 0;                  // 0 = $PSF_LOOP_WORKERS, default 2
+  int workers = 0;  // 0 = min(4, max(2, hardware_concurrency))
   PollerKind poller = kDefaultPoller;
-  std::size_t max_batch_frames = 0; // 0 = $PSF_LOOP_BATCH, default 128
+  std::size_t max_batch_frames = 128;  // frames per readiness dispatch
   std::uint64_t timer_tick_ns = 1'000'000;  // 1 ms wheel resolution
 };
 

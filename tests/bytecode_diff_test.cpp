@@ -10,14 +10,13 @@
 // surface, control flow (loops, break/continue, short-circuit), dynamic
 // locals, `var this` and duplicate parameters, inherited methods run through
 // a subclass (compiled per concrete class), the five in-tree mail views plus
-// the good_* analysis fixtures, error parity (division by zero, undefined
-// variables, bad indexing, step limits), and the typed refusal of a method
-// past the bytecode's 16-bit operand limit.
+// the good_* analysis fixtures, field reloads across stores, self-calls and
+// branches, member-call inline caches (fill, hit, guard miss), error parity
+// (division by zero, undefined variables, bad indexing, step limits), and
+// the typed refusal of a method past the bytecode's 16-bit operand limit.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
-#include <numeric>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -25,7 +24,6 @@
 #include "mail/components.hpp"
 #include "minilang/compile.hpp"
 #include "minilang/interp.hpp"
-#include "minilang/optimize.hpp"
 #include "minilang/parser.hpp"
 #include "obs/metrics.hpp"
 #include "oracle/tree_walker.hpp"
@@ -540,36 +538,14 @@ TEST(BytecodeDiff, OversizedMethodRefusedWithTypedError) {
   EXPECT_EQ(views_registry.find_class("ViewMailClient_Big"), nullptr);
 }
 
-// ------------------------------------------ optimizer (PSF_MINILANG_OPT)
+// --------------------------------------- field reuse across stores and calls
 
-// Scoped PSF_MINILANG_OPT override; restores the prior value on exit so the
-// rest of the suite keeps running under the build's ambient setting.
-class OptEnv {
- public:
-  explicit OptEnv(const char* value) {
-    const char* prior = std::getenv("PSF_MINILANG_OPT");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) prior_ = prior;
-    setenv("PSF_MINILANG_OPT", value, 1);
-  }
-  ~OptEnv() {
-    if (had_prior_) {
-      setenv("PSF_MINILANG_OPT", prior_.c_str(), 1);
-    } else {
-      unsetenv("PSF_MINILANG_OPT");
-    }
-  }
-
- private:
-  bool had_prior_ = false;
-  std::string prior_;
-};
-
-// Bodies the optimizer actually transforms: repeated field loads inside one
-// expression (field-load CSE), redundant local copies (move forwarding),
-// plus branches and calls that must invalidate availability.
-std::shared_ptr<ClassRegistry> make_opt_registry() {
-  return make_registry(
+// Repeated field loads inside one expression, chains of local copies, a
+// store followed by reloads, a self-call that writes the field between
+// loads, and branches that write different fields: every field read must
+// see the latest store on both engines.
+TEST(BytecodeDiff, FieldReloadsAcrossStoresCallsAndBranchesAgree) {
+  auto registry = make_registry(
       "Hotspot",
       {
           {"constructor", {}, "balance = 100; count = 7; acc = 0;"},
@@ -600,119 +576,16 @@ std::shared_ptr<ClassRegistry> make_opt_registry() {
       {{"balance", Value::integer(0)},
        {"count", Value::integer(0)},
        {"acc", Value::integer(0)}});
-}
-
-const std::vector<std::pair<std::string, std::vector<Value>>>& opt_calls() {
-  static const std::vector<std::pair<std::string, std::vector<Value>>> calls =
-      {{"fieldExpr", {Value::integer(6)}},
-       {"copies", {Value::integer(5)}},
-       {"storeReload", {Value::integer(40)}},
-       {"branchy", {Value::integer(3)}},
-       {"branchy", {Value::integer(-3)}},
-       {"fieldExpr", {Value::integer(0)}}};
-  return calls;
-}
-
-TEST(BytecodeDiff, OptimizedAndUnoptimizedTranscriptsAgree) {
-  std::string unopt, opt, oracle;
-  {
-    OptEnv off("0");
-    unopt = transcript(*make_opt_registry(), "Hotspot", {}, opt_calls(),
-                       Engine::kVm);
-    oracle = transcript(*make_opt_registry(), "Hotspot", {}, opt_calls(),
-                        Engine::kOracle);
-  }
-  {
-    OptEnv on("1");
-    opt = transcript(*make_opt_registry(), "Hotspot", {}, opt_calls(),
-                     Engine::kVm);
-  }
-  EXPECT_EQ(unopt, opt);
-  EXPECT_EQ(oracle, opt);
-}
-
-TEST(BytecodeDiff, OptimizedViewsAgreeWithUnoptimized) {
-  const std::string xmls[] = {mail::view_xml_member(), mail::view_xml_partner(),
-                              mail::view_xml_anonymous(),
-                              mail::view_xml_mail_server_cache(),
-                              mail::view_xml_client_replica()};
-  for (const std::string& xml : xmls) {
-    std::string transcripts[2];
-    for (int on = 0; on < 2; ++on) {
-      OptEnv env(on == 0 ? "0" : "1");
-      ClassRegistry registry;
-      mail::register_all(registry);
-      auto def = views::ViewDefinition::from_xml(xml);
-      ASSERT_TRUE(def.ok());
-      views::Vig vig(&registry);
-      auto cls = vig.generate(def.value());
-      ASSERT_TRUE(cls.ok()) << cls.error().message;
-      transcripts[on] = transcript(registry, cls.value()->name, {},
-                                   zero_arg_calls(*cls.value()), Engine::kVm);
-    }
-    EXPECT_EQ(transcripts[0], transcripts[1]);
-  }
-}
-
-TEST(BytecodeDiff, OptimizerShrinksCodeAndConservesStepCost) {
-  auto compiled_field_expr = [](const char* env) {
-    OptEnv guard(env);
-    auto registry = make_opt_registry();
-    const auto cls = registry->find_class("Hotspot");
-    const MethodDef* method = cls->find_method("fieldExpr");
-    const minilang::CompiledMethod* code =
-        &minilang::ensure_compiled(*registry, cls, *method);
-    // Keep the registry alive through the shared compiled slot.
-    struct Held {
-      std::shared_ptr<ClassRegistry> registry;
-      const minilang::CompiledMethod* code;
-    };
-    return Held{registry, code};
-  };
-  const auto unopt = compiled_field_expr("0");
-  const auto opt = compiled_field_expr("1");
-  ASSERT_NE(unopt.code, nullptr);
-  ASSERT_NE(opt.code, nullptr);
-  EXPECT_LT(opt.code->code.size(), unopt.code->code.size());
-  // Every eliminated instruction folded its unit cost into a retained
-  // successor, so the static cost total is invariant — the basis of
-  // step-limit parity.
-  auto total_cost = [](const minilang::CompiledMethod& m) {
-    return std::accumulate(
-        m.code.begin(), m.code.end(), std::size_t{0},
-        [](std::size_t acc, const minilang::Insn& i) { return acc + i.cost; });
-  };
-  EXPECT_EQ(total_cost(*opt.code), total_cost(*unopt.code));
-  EXPECT_EQ(total_cost(*unopt.code), unopt.code->code.size());
-}
-
-TEST(BytecodeDiff, StepLimitParityAcrossBudgetSweep) {
-  // The observable outcome (value, error text, or "step limit exceeded")
-  // must match between optimized and unoptimized bytecode at EVERY budget,
-  // not just generous ones — this is what the cost-folding rule guarantees.
-  for (std::size_t budget = 1; budget <= 160; ++budget) {
-    std::string outcomes[2];
-    for (int on = 0; on < 2; ++on) {
-      OptEnv env(on == 0 ? "0" : "1");
-      auto registry = make_opt_registry();
-      InterpOptions options;
-      options.max_steps = budget;
-      try {
-        auto obj = minilang::instantiate(*registry, "Hotspot", {}, options);
-        Value v = minilang::invoke_method(obj, "fieldExpr",
-                                          {Value::integer(2)},
-                                          /*external=*/true, options);
-        outcomes[on] = "ok " + v.to_display_string();
-      } catch (const EvalError& e) {
-        outcomes[on] = std::string("error ") + e.what();
-      }
-    }
-    EXPECT_EQ(outcomes[0], outcomes[1]) << "budget " << budget;
-  }
+  expect_engines_agree(*registry, "Hotspot", {},
+                       {{"fieldExpr", {Value::integer(6)}},
+                        {"copies", {Value::integer(5)}},
+                        {"storeReload", {Value::integer(40)}},
+                        {"branchy", {Value::integer(3)}},
+                        {"branchy", {Value::integer(-3)}},
+                        {"fieldExpr", {Value::integer(0)}}});
 }
 
 TEST(BytecodeDiff, InlineCacheHitAndGuardMissAgreeWithInterpreter) {
-  OptEnv env("1");  // IC slots are allocated by the optimizer
   auto registry = std::make_shared<ClassRegistry>();
   auto add_class = [&](const std::string& name, const std::string& body) {
     auto cls = std::make_shared<ClassDef>();
@@ -767,7 +640,7 @@ TEST(BytecodeDiff, InlineCacheHitAndGuardMissAgreeWithInterpreter) {
   EXPECT_EQ(transcripts[0], transcripts[1]);
   EXPECT_NE(transcripts[0].find("ok string:alpha"), std::string::npos);
   EXPECT_NE(transcripts[0].find("ok string:beta"), std::string::npos);
-  // The bytecode pass filled the cache on Alpha, then hit it at least once
+  // The VM filled the cache on Alpha, then hit it at least once
   // and guard-missed on every Beta dispatch.
   EXPECT_GT(hits.value(), hits_before);
   EXPECT_GT(misses.value(), misses_before);

@@ -16,7 +16,6 @@
 #include "drbac/repository.hpp"
 #include "mail/components.hpp"
 #include "minilang/interp.hpp"
-#include "minilang/optimize.hpp"
 #include "oracle/tree_walker.hpp"
 #include "util/rng.hpp"
 #include "views/vig.hpp"
@@ -361,10 +360,6 @@ TEST(Deployment, DiagnosticsSortedByStableKey) {
 // ------------------------------------------------- VIG inline-cache seeding
 
 TEST(Deployment, VigSeedsInlineCachesFromFacts) {
-  if (!minilang::optimize_enabled()) {
-    GTEST_SKIP() << "PSF_MINILANG_OPT=0 allocates no inline-cache slots, "
-                    "so there is nothing to seed";
-  }
   TestDeployment d;
   d.input.views.push_back({parse_view(fixture("dead_view.xml")), false});
   const DeploymentResult analysis_result =

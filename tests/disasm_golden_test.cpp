@@ -1,17 +1,15 @@
 // Golden-file tests for minilang::disassemble (DESIGN.md §4j/§4l): the
 // listing format is part of the operator surface (vig_cli --dump-bytecode,
 // compile-failure triage), so representative methods are pinned byte-for-byte
-// against checked-in goldens. The three methods cover the three listing
-// features the optimizer added: cost folding annotations ([cost N]) on a
-// field-load CSE victim, inline-cache slots ([ic N]) on a member-call site,
-// and the plain unoptimized encoding of loops and branches.
+// against checked-in goldens. The three methods cover repeated field loads
+// in one expression, the inline-cache slot ([ic N]) the compiler gives a
+// member-call site, and the encoding of loops and branches.
 //
 // Regenerate after an intentional format change with:
 //   disasm_golden_test --update-golden
 // (custom main below — this target links gtest without gtest_main).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -28,31 +26,7 @@ std::string golden_path(const std::string& name) {
   return std::string(PSF_DISASM_GOLDEN_DIR) + "/" + name + ".golden";
 }
 
-// Pin PSF_MINILANG_OPT for one compile so goldens do not depend on the
-// ambient environment of whoever runs the suite.
-class OptEnv {
- public:
-  explicit OptEnv(const char* value) {
-    const char* prior = std::getenv("PSF_MINILANG_OPT");
-    had_prior_ = prior != nullptr;
-    if (had_prior_) prior_ = prior;
-    setenv("PSF_MINILANG_OPT", value, 1);
-  }
-  ~OptEnv() {
-    if (had_prior_) {
-      setenv("PSF_MINILANG_OPT", prior_.c_str(), 1);
-    } else {
-      unsetenv("PSF_MINILANG_OPT");
-    }
-  }
-
- private:
-  bool had_prior_ = false;
-  std::string prior_;
-};
-
-// One fixed class, compiled fresh per test so each golden sees exactly the
-// optimizer setting it pins.
+// One fixed class, compiled fresh per test.
 std::shared_ptr<ClassRegistry> make_golden_registry() {
   auto registry = std::make_shared<ClassRegistry>();
   auto cls = std::make_shared<ClassDef>();
@@ -85,9 +59,7 @@ std::shared_ptr<ClassRegistry> make_golden_registry() {
   return registry;
 }
 
-void check_golden(const std::string& name, const char* opt,
-                  const std::string& method) {
-  OptEnv env(opt);
+void check_golden(const std::string& name, const std::string& method) {
   auto registry = make_golden_registry();
   const auto cls = registry->find_class("Golden");
   ASSERT_NE(cls, nullptr);
@@ -112,16 +84,16 @@ void check_golden(const std::string& name, const char* opt,
       << "; if intentional, rerun with --update-golden";
 }
 
-TEST(DisasmGolden, FieldCseWithCostFolding) {
-  check_golden("field_cse_opt", "1", "fieldExpr");
+TEST(DisasmGolden, FieldExpression) {
+  check_golden("field_expr", "fieldExpr");
 }
 
 TEST(DisasmGolden, MemberCallInlineCacheSlot) {
-  check_golden("member_call_ic", "1", "relay");
+  check_golden("member_call_ic", "relay");
 }
 
 TEST(DisasmGolden, UnoptimizedControlFlow) {
-  check_golden("loops_unopt", "0", "loops");
+  check_golden("loops_unopt", "loops");
 }
 
 }  // namespace

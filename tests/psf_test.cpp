@@ -268,25 +268,15 @@ TEST_F(PlannerScenario, SessionValidityTracksNetworkChanges) {
   auto session = psf().request(s.request_for(s.alice, Scenario::kNyPc, qos));
   ASSERT_TRUE(session.ok());
   EXPECT_TRUE(psf().session_still_valid(session.value()));
-  // The monitoring module records the degradation; the session is invalid.
+  std::vector<MonitorModule::Event> seen;
+  psf().monitor().subscribe(
+      [&](const MonitorModule::Event& event) { seen.push_back(event); });
+  // The monitoring module publishes the degradation; the session is invalid.
   psf().update_link(Scenario::kNyServer, Scenario::kNyPc,
                     {50 * util::kMillisecond, 100'000, true});
   EXPECT_FALSE(psf().session_still_valid(session.value()));
-  EXPECT_FALSE(psf().monitor().events().empty());
-}
-
-TEST_F(PlannerScenario, MonitorKeepsOnlyRecentEvents) {
-  const std::size_t extra = 10;
-  for (std::size_t i = 0; i < MonitorModule::kMaxEvents + extra; ++i) {
-    psf().update_link(Scenario::kNyServer, Scenario::kNyPc,
-                      {static_cast<util::SimTime>(i + 1), 100'000, true});
-  }
-  const auto& events = psf().monitor().events();
-  ASSERT_EQ(events.size(), MonitorModule::kMaxEvents);
-  EXPECT_EQ(events.front().props.latency,
-            static_cast<util::SimTime>(extra + 1));
-  EXPECT_EQ(events.back().props.latency,
-            static_cast<util::SimTime>(MonitorModule::kMaxEvents + extra));
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0].props.latency, 50 * util::kMillisecond);
 }
 
 TEST_F(PlannerScenario, AdaptationsReuseTheViewGrant) {
